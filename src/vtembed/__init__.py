@@ -28,7 +28,6 @@ from .curation import (
     curate_all,
     judge_pair,
     mine_from_index,
-    mine_global_negatives,
     retrieve_and_judge,
 )
 from .data import SyntheticTaskSpec, generate_corpus, load_corpus, save_corpus
@@ -76,7 +75,6 @@ from .trainer import (
     run_global_hnm,
     run_reranker,
     run_stage1,
-    run_stage2,
     run_stage3,
     run_warmup,
 )
@@ -95,10 +93,9 @@ __all__ = [
     "emit_efficiency_table", "evaluate_embedder", "evaluate_two_stage",
     "generate_corpus", "info_nce", "judge_pair", "listwise_loss",
     "load_config", "load_corpus", "measure_encode", "mine_from_index",
-    "mine_global_negatives", "ndcg_at_5", "ndcg_at_k", "ntp_loss",
-    "optimizer_step", "pointwise_loss", "precision_at_1", "recall_at_k",
-    "rerank_topk", "retrieve_and_judge", "run_experiment", "run_global_hnm",
-    "run_reranker", "run_seed_pipeline", "run_stage1", "run_stage2",
-    "run_stage3", "run_warmup", "save_corpus", "search", "serialize",
-    "token_budget", "total_rerank_loss",
+    "ndcg_at_5", "ndcg_at_k", "ntp_loss", "optimizer_step", "pointwise_loss",
+    "precision_at_1", "recall_at_k", "rerank_topk", "retrieve_and_judge",
+    "run_experiment", "run_global_hnm", "run_reranker", "run_seed_pipeline",
+    "run_stage1", "run_stage3", "run_warmup", "save_corpus", "search",
+    "serialize", "token_budget", "total_rerank_loss",
 ]

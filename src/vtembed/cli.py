@@ -11,12 +11,14 @@ from pathlib import Path
 import numpy as np
 
 from .curation import (
+    DEFAULT_JUDGE_K,
+    DEFAULT_MINE_COUNT,
+    DEFAULT_MINE_WINDOW,
     AlwaysIrrelevantJudge,
     ClassOracleJudge,
     ModelJudge,
     curate_all,
     load_curated,
-    mine_from_index,
     save_curated,
 )
 from .data import (
@@ -29,24 +31,27 @@ from .data import (
 )
 from .experiment import (
     ExperimentConfig,
-    evaluate_embedder,
-    evaluate_two_stage,
+    embed_results,
     load_config,
+    report_markdown,
+    retrieval_metrics,
     run_experiment,
+    two_stage_results,
 )
 from .model import Model, ModelConfig
 from .profiler import emit_efficiency_table, measure_encode, token_budget
 from .retrieval import (
-    CandidateIndex,
     corpus_digest,
     load_qrels,
     save_qrels,
     save_results,
 )
 from .trainer import (
+    REQUIRED_PREDECESSOR,
     StagePlan,
     check_predecessor,
     load_stage_checkpoint,
+    mine_all,
     run_global_hnm,
     run_reranker,
     run_stage1,
@@ -137,14 +142,13 @@ def cmd_train(args) -> int:
     candidates, queries = split_roles(examples)
     stage = args.stage
     if args.in_ckpt:
-        from .trainer import REQUIRED_PREDECESSOR
         model = load_stage_checkpoint(args.in_ckpt, REQUIRED_PREDECESSOR[stage])
     else:
         check_predecessor(stage, None)
         model = Model(_model_cfg(args))
     plan = StagePlan(stage=stage, steps=args.steps, batch_size=args.batch_size,
                      peak_lr=args.lr, seed=args.seed or 0, n_hard=args.n_hard,
-                     output_checkpoint=args.out)
+                     epochs=args.epochs, output_checkpoint=args.out)
     if stage == "restore":
         pairs = instruction_pairs(candidates, args.seed or 0, model.cfg.vocab_size)
         report = run_stage1(model, pairs, plan)
@@ -157,7 +161,6 @@ def cmd_train(args) -> int:
         report = run_stage3(model, candidates, queries, curated, plan)
     else:  # reranker
         curated = load_curated(args.curated)
-        plan.epochs = args.epochs
         report = run_reranker(model, candidates, queries, curated, plan)
     report.save_trace_csv(str(args.out) + ".trace.csv")
     _side_manifest(args, "train", stage=stage, in_ckpt=args.in_ckpt,
@@ -169,24 +172,18 @@ def cmd_train(args) -> int:
 
 
 def cmd_mine(args) -> int:
+    """Mine the train queries exactly as `train --stage global_hnm` does."""
     examples = load_corpus(args.corpus)
     candidates, queries = split_roles(examples)
     model = Model.load(args.ckpt)
-    index = CandidateIndex.build(model.embed_many(candidates))
-    qembs = model.embed_many(queries)
-    records = []
-    for i, (q, e) in enumerate(zip(queries, qembs)):
-        rec = mine_from_index(q.example_id, e.vector, index, q.gt_positive_id,
-                              n=args.n, window=tuple(args.window),
-                              seed=(args.seed or 0) * 100003 + i)
-        records.append({"query_id": rec.query_id, "negative_ids": rec.negative_ids,
-                        "window": list(rec.window), "seed": rec.seed,
-                        "shrunk": rec.shrunk})
+    plan = StagePlan(stage="global_hnm", seed=args.seed or 0, mine_count=args.n,
+                     mine_window=tuple(args.window))
+    mined = mine_all(model, candidates, [q for q in queries if q.split == "train"], plan)
     with open(args.out, "w") as f:
-        for r in records:
-            f.write(json.dumps(r) + "\n")
+        for qid, negative_ids in mined.items():
+            f.write(json.dumps({"query_id": qid, "negative_ids": negative_ids}) + "\n")
     _side_manifest(args, "mine", ckpt=args.ckpt, n=args.n, window=list(args.window))
-    print(f"mined negatives for {len(records)} queries -> {args.out}")
+    print(f"mined negatives for {len(mined)} queries -> {args.out}")
     return EXIT_OK
 
 
@@ -226,26 +223,17 @@ def _eval_common(args, two_stage: bool) -> int:
     qrels = load_qrels(args.qrels)
     eval_q = [q for q in queries if q.split == "eval"] or queries
     model = Model.load(args.ckpt)
-    from .experiment import embed_results
-    results = embed_results(model, candidates, eval_q, k=min(10, len(candidates)))
     if two_stage:
-        from .experiment import model_scorer, oracle_scorer
-        from .retrieval import rerank_topk
-        by_id = {c.example_id: c for c in candidates}
         reranker = Model.load(args.reranker_ckpt) if args.reranker_ckpt else None
-        results = [rerank_topk(r, model_scorer(reranker, q, by_id) if reranker
-                               else oracle_scorer(q.example_id, qrels),
-                               k_rerank=min(5, len(r.ids)))
-                   for q, r in zip(eval_q, results)]
-    from .retrieval import ndcg_at_5, precision_at_1
-    metrics = {"p_at_1": precision_at_1(results, qrels),
-               "ndcg_at_5": ndcg_at_5(results, qrels)}
+        results = two_stage_results(model, candidates, eval_q, qrels, reranker)
+    else:
+        results = embed_results(model, candidates, eval_q)
     if args.out:
         save_results(args.out, results)
         _side_manifest(args, "rerank-eval" if two_stage else "eval",
                        ckpt=args.ckpt,
                        reranker_ckpt=getattr(args, "reranker_ckpt", None))
-    print(json.dumps({"stage": results[0].stage, **metrics}))
+    print(json.dumps({"stage": results[0].stage, **retrieval_metrics(results, qrels)}))
     return EXIT_OK
 
 
@@ -258,7 +246,6 @@ def cmd_rerank_eval(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    from .data import class_pattern
     from .autograd import Grid2D
     from .model import MultimodalExample, with_compression
     factors = [int(x) for x in args.factors.split(",")]
@@ -288,20 +275,22 @@ def cmd_profile(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    if args.config:
-        cfg = load_config(args.config)
-    else:
-        cfg = ExperimentConfig(preset=args.preset)
+    cfg = load_config(args.config) if args.config else ExperimentConfig()
+    if args.preset is not None:  # the flag wins over the config's preset
+        cfg.preset = args.preset
     if args.seed is not None:
         cfg.seeds = [args.seed + i for i in range(len(cfg.seeds))]
     report = run_experiment(cfg, out_dir=args.out)
-    from .experiment import report_markdown
     print(report_markdown(report))
+    if report["failures"]:
+        sys.stderr.write("failed seeds: " + json.dumps(report["failures"], indent=2) + "\n")
+        return EXIT_RUNTIME
     return EXIT_OK
 
 
 def build_parser() -> _Parser:
     p = _Parser(prog="vtembed", description="Compressed multimodal embedding pipeline")
+    plan = StagePlan(stage="restore")  # source of the train defaults
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, corpus=False, ckpt=False, qrels=False):
@@ -325,17 +314,17 @@ def build_parser() -> _Parser:
                     choices=["restore", "warmup", "global_hnm", "judge_ft", "reranker"])
     sp.add_argument("--in-ckpt", default=None)
     sp.add_argument("--curated", default=None)
-    sp.add_argument("--steps", type=int, default=100)
-    sp.add_argument("--batch-size", type=int, default=8)
-    sp.add_argument("--lr", type=float, default=3e-4)
-    sp.add_argument("--n-hard", type=int, default=12)
-    sp.add_argument("--epochs", type=int, default=2)
+    sp.add_argument("--steps", type=int, default=plan.steps)
+    sp.add_argument("--batch-size", type=int, default=plan.batch_size)
+    sp.add_argument("--lr", type=float, default=plan.peak_lr)
+    sp.add_argument("--n-hard", type=int, default=plan.n_hard)
+    sp.add_argument("--epochs", type=int, default=plan.epochs)
     sp.set_defaults(func=cmd_train)
 
     sp = sub.add_parser("mine", help="global hard negative mining")
     common(sp, corpus=True, ckpt=True)
-    sp.add_argument("--n", type=int, default=2)
-    sp.add_argument("--window", type=int, nargs=2, default=[50, 100])
+    sp.add_argument("--n", type=int, default=DEFAULT_MINE_COUNT)
+    sp.add_argument("--window", type=int, nargs=2, default=list(DEFAULT_MINE_WINDOW))
     sp.set_defaults(func=cmd_mine)
 
     for name, fn in (("judge", cmd_judge), ("curate", cmd_curate)):
@@ -343,7 +332,7 @@ def build_parser() -> _Parser:
         common(sp, corpus=True, ckpt=True)
         sp.add_argument("--judge", default="oracle", choices=["oracle", "rule", "model"])
         sp.add_argument("--noise", type=float, default=0.0)
-        sp.add_argument("--k", type=int, default=20)
+        sp.add_argument("--k", type=int, default=DEFAULT_JUDGE_K)
         sp.add_argument("--template", default="T2I")
         if name == "judge":
             sp.add_argument("--query-id", default=None)
@@ -369,7 +358,8 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("experiment", help="run an ablation preset")
     common(sp)
-    sp.add_argument("--preset", default="table4", choices=["table4", "table5"])
+    sp.add_argument("--preset", default=None, choices=["table4", "table5"],
+                    help="default: the config's preset, else table4")
     sp.set_defaults(func=cmd_experiment)
     return p
 

@@ -6,11 +6,11 @@ import hashlib
 import json
 import logging
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .model import Embedding, LengthError, Model, MultimodalExample
+from .model import LengthError, Model, MultimodalExample
 from .retrieval import CandidateIndex, search
 from .templates import judgment_instruction
 
@@ -106,17 +106,6 @@ def mine_from_index(query_id: str, query_vec: np.ndarray, index: CandidateIndex,
     return MinedNegatives(query_id=query_id,
                           negative_ids=[window_ids[i] for i in sorted(picks)],
                           window=(lo, hi), seed=seed, shrunk=shrunk)
-
-
-def mine_global_negatives(query: MultimodalExample, corpus: Sequence[MultimodalExample],
-                          embedder, n: int = DEFAULT_MINE_COUNT,
-                          window: Tuple[int, int] = DEFAULT_MINE_WINDOW,
-                          seed: int = 0) -> MinedNegatives:
-    """Single-query convenience wrapper that embeds the corpus in place."""
-    index = CandidateIndex.build(embedder(list(corpus)))
-    qvec = embedder([query])[0].vector
-    return mine_from_index(query.example_id, qvec, index, query.gt_positive_id,
-                           n=n, window=window, seed=seed)
 
 
 # ---- stage 3: retrieve-and-judge ----

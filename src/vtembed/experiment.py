@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from . import vocab
 from .curation import AlwaysIrrelevantJudge, ClassOracleJudge, curate_all
-from .data import SyntheticTaskSpec, generate_corpus, instruction_pairs, split_roles
+from .data import SyntheticTaskSpec, generate_corpus, instruction_pairs
 from .model import Model, ModelConfig, MultimodalExample
 from .prompts import pointwise_prompt
 from .retrieval import (
@@ -109,6 +109,11 @@ def load_config(path) -> ExperimentConfig:
 
 # ---- evaluation ----
 
+def retrieval_metrics(results: Sequence[RankedResult], qrels: Qrels) -> Dict[str, float]:
+    return {"p_at_1": precision_at_1(results, qrels),
+            "ndcg_at_5": ndcg_at_5(results, qrels)}
+
+
 def embed_results(model: Model, candidates: Sequence[MultimodalExample],
                   queries: Sequence[MultimodalExample], k: int = 10
                   ) -> List[RankedResult]:
@@ -122,9 +127,7 @@ def embed_results(model: Model, candidates: Sequence[MultimodalExample],
 def evaluate_embedder(model: Model, candidates: Sequence[MultimodalExample],
                       queries: Sequence[MultimodalExample], qrels: Qrels,
                       k: int = 10) -> Dict[str, float]:
-    results = embed_results(model, candidates, queries, k=k)
-    return {"p_at_1": precision_at_1(results, qrels),
-            "ndcg_at_5": ndcg_at_5(results, qrels)}
+    return retrieval_metrics(embed_results(model, candidates, queries, k=k), qrels)
 
 
 def oracle_scorer(query_id: str, qrels: Qrels) -> Callable[[str], float]:
@@ -143,21 +146,26 @@ def model_scorer(reranker: Model, query: MultimodalExample,
     return score
 
 
-def evaluate_two_stage(model: Model, candidates: Sequence[MultimodalExample],
-                       queries: Sequence[MultimodalExample], qrels: Qrels,
-                       reranker: Optional[Model] = None, k: int = 10,
-                       k_rerank: int = 5) -> Dict[str, float]:
+def two_stage_results(model: Model, candidates: Sequence[MultimodalExample],
+                      queries: Sequence[MultimodalExample], qrels: Qrels,
+                      reranker: Optional[Model] = None, k: int = 10,
+                      k_rerank: int = 5) -> List[RankedResult]:
     """Embed-retrieve then pointwise-rerank the top k_rerank; oracle
     scorer when no reranker model is given."""
     by_id = {c.example_id: c for c in candidates}
     results = embed_results(model, candidates, queries, k=k)
-    reranked = []
-    for q, r in zip(queries, results):
-        scorer = (model_scorer(reranker, q, by_id) if reranker is not None
-                  else oracle_scorer(q.example_id, qrels))
-        reranked.append(rerank_topk(r, scorer, k_rerank=min(k_rerank, len(r.ids))))
-    return {"p_at_1": precision_at_1(reranked, qrels),
-            "ndcg_at_5": ndcg_at_5(reranked, qrels)}
+    return [rerank_topk(r, model_scorer(reranker, q, by_id) if reranker is not None
+                        else oracle_scorer(q.example_id, qrels),
+                        k_rerank=min(k_rerank, len(r.ids)))
+            for q, r in zip(queries, results)]
+
+
+def evaluate_two_stage(model: Model, candidates: Sequence[MultimodalExample],
+                       queries: Sequence[MultimodalExample], qrels: Qrels,
+                       reranker: Optional[Model] = None, k: int = 10,
+                       k_rerank: int = 5) -> Dict[str, float]:
+    return retrieval_metrics(two_stage_results(model, candidates, queries, qrels,
+                                               reranker, k=k, k_rerank=k_rerank), qrels)
 
 
 # ---- pipeline per seed ----
@@ -175,92 +183,94 @@ def _plan(stage: str, steps: int, tr: TrainSettings, seed: int, **kw) -> StagePl
                      peak_lr=lr, seed=seed, temperature=tr.temperature, **kw)
 
 
-def run_seed_pipeline(cfg: ExperimentConfig, seed: int,
-                      stages: Sequence[str] = ("warmup", "global_hnm", "judge_ft", "reranker"),
-                      ) -> SeedRun:
-    """Run the cumulative pipeline for one seed, evaluating after each
-    requested stage on the held-out queries."""
+@dataclass
+class _Seed:
+    """One seed's corpus and its model after generative restoration."""
+    task_class: str
+    candidates: List[MultimodalExample]
+    queries: List[MultimodalExample]
+    qrels: Qrels
+    train_q: List[MultimodalExample]
+    eval_q: List[MultimodalExample]
+    model: Model
+    restore_trace: List[float]
+
+
+def _restored_seed(cfg: ExperimentConfig, seed: int) -> _Seed:
     tr = cfg.train
     mcfg = ModelConfig.from_dict({**cfg.model.to_dict(), "seed": seed})
     dspec = SyntheticTaskSpec.from_dict({**cfg.data.to_dict(), "seed": seed})
     candidates, queries, qrels = generate_corpus(dspec, mcfg)
-    eval_q = [q for q in queries if q.split == "eval"]
-    train_q = [q for q in queries if q.split == "train"]
-
-    metrics: Dict[str, Dict[str, float]] = {}
-    traces: Dict[str, List[float]] = {}
     model = Model(mcfg)
+    r1 = run_stage1(model, instruction_pairs(candidates, dspec.seed, mcfg.vocab_size),
+                    _plan("restore", tr.stage1_steps, tr, seed))
+    return _Seed(task_class=dspec.task_class, candidates=candidates, queries=queries,
+                 qrels=qrels, train_q=[q for q in queries if q.split == "train"],
+                 eval_q=[q for q in queries if q.split == "eval"],
+                 model=model, restore_trace=r1.loss_trace)
 
-    pairs = instruction_pairs(candidates, dspec.seed, mcfg.vocab_size)
-    r1 = run_stage1(model, pairs, _plan("restore", tr.stage1_steps, tr, seed))
-    traces["restore"] = r1.loss_trace
-    restore_model = model.clone()  # reranker branches from here
 
-    if "warmup" in stages:
-        rw = run_warmup(model, candidates, queries, _plan("warmup", tr.warmup_steps, tr, seed))
-        traces["warmup"] = rw.loss_trace
-        metrics["warmup"] = evaluate_embedder(model, candidates, eval_q, qrels)
-    if "global_hnm" in stages:
-        rh = run_global_hnm(model, candidates, queries,
-                            _plan("global_hnm", tr.hnm_steps, tr, seed))
-        traces["global_hnm"] = rh.loss_trace
-        metrics["global_hnm"] = evaluate_embedder(model, candidates, eval_q, qrels)
+def run_seed_pipeline(cfg: ExperimentConfig, seed: int) -> SeedRun:
+    """Run the cumulative pipeline for one seed, evaluating after each
+    stage on the held-out queries."""
+    tr = cfg.train
+    s = _restored_seed(cfg, seed)
+    model, candidates, queries, eval_q, qrels = (s.model, s.candidates, s.queries,
+                                                 s.eval_q, s.qrels)
+    # the trained reranker branches from the restore checkpoint
+    reranker = model.clone() if tr.reranker == "trained" else None
+    traces: Dict[str, List[float]] = {"restore": s.restore_trace}
+    metrics: Dict[str, Dict[str, float]] = {}
 
-    curated = None
-    if "judge_ft" in stages or "reranker" in stages:
-        judge = ClassOracleJudge(noise_rate=tr.judge_noise, seed=seed)
-        curated = curate_all(train_q, candidates, model.embed_many, judge,
-                             template_id=dspec.task_class, k=min(tr.judge_k, len(candidates)))
-    if "judge_ft" in stages:
-        r3 = run_stage3(model, candidates, queries, curated,
-                        _plan("judge_ft", tr.stage3_steps, tr, seed, n_hard=tr.n_hard))
-        traces["judge_ft"] = r3.loss_trace
-        metrics["judge_ft"] = evaluate_embedder(model, candidates, eval_q, qrels)
-    if "reranker" in stages:
-        reranker_model = None
-        if tr.reranker == "trained":
-            reranker_model = restore_model
-            rr = run_reranker(reranker_model, candidates, queries, curated,
-                              _plan("reranker", 0, tr, seed, epochs=tr.reranker_epochs))
-            traces["reranker"] = rr.loss_trace
-        metrics["reranker"] = evaluate_two_stage(model, candidates, eval_q, qrels,
-                                                 reranker=reranker_model)
+    rw = run_warmup(model, candidates, queries, _plan("warmup", tr.warmup_steps, tr, seed))
+    traces["warmup"] = rw.loss_trace
+    metrics["warmup"] = evaluate_embedder(model, candidates, eval_q, qrels)
+    rh = run_global_hnm(model, candidates, queries,
+                        _plan("global_hnm", tr.hnm_steps, tr, seed))
+    traces["global_hnm"] = rh.loss_trace
+    metrics["global_hnm"] = evaluate_embedder(model, candidates, eval_q, qrels)
+
+    judge = ClassOracleJudge(noise_rate=tr.judge_noise, seed=seed)
+    curated = curate_all(s.train_q, candidates, model.embed_many, judge,
+                         template_id=s.task_class, k=min(tr.judge_k, len(candidates)))
+    r3 = run_stage3(model, candidates, queries, curated,
+                    _plan("judge_ft", tr.stage3_steps, tr, seed, n_hard=tr.n_hard))
+    traces["judge_ft"] = r3.loss_trace
+    metrics["judge_ft"] = evaluate_embedder(model, candidates, eval_q, qrels)
+    if reranker is not None:
+        rr = run_reranker(reranker, candidates, queries, curated,
+                          _plan("reranker", 0, tr, seed, epochs=tr.reranker_epochs))
+        traces["reranker"] = rr.loss_trace
+    metrics["reranker"] = evaluate_two_stage(model, candidates, eval_q, qrels,
+                                             reranker=reranker)
     return SeedRun(seed=seed, metrics=metrics, loss_traces=traces)
 
 
 def run_table5_seed(cfg: ExperimentConfig, seed: int,
-                    n_values: Sequence[int], arms: Sequence[str] = ("mllm", "rule"),
-                    ) -> Dict[str, Dict[str, float]]:
+                    n_values: Sequence[int]) -> Dict[str, Dict[str, float]]:
     """Stage-3 sweep for one seed: hard-negative count x judge type.
 
     The prefix through global-HNM is shared; each (arm, n) trains its own
     stage-3 copy from that checkpoint.
     """
     tr = cfg.train
-    mcfg = ModelConfig.from_dict({**cfg.model.to_dict(), "seed": seed})
-    dspec = SyntheticTaskSpec.from_dict({**cfg.data.to_dict(), "seed": seed})
-    candidates, queries, qrels = generate_corpus(dspec, mcfg)
-    eval_q = [q for q in queries if q.split == "eval"]
-    train_q = [q for q in queries if q.split == "train"]
-
-    model = Model(mcfg)
-    run_stage1(model, instruction_pairs(candidates, dspec.seed, mcfg.vocab_size),
-               _plan("restore", tr.stage1_steps, tr, seed))
+    s = _restored_seed(cfg, seed)
+    model, candidates, queries = s.model, s.candidates, s.queries
     run_warmup(model, candidates, queries, _plan("warmup", tr.warmup_steps, tr, seed))
     run_global_hnm(model, candidates, queries, _plan("global_hnm", tr.hnm_steps, tr, seed))
 
     judges = {"mllm": ClassOracleJudge(noise_rate=tr.judge_noise, seed=seed),
               "rule": AlwaysIrrelevantJudge()}
     out: Dict[str, Dict[str, float]] = {}
-    for arm in arms:
-        curated = curate_all(train_q, candidates, model.embed_many, judges[arm],
-                             template_id=dspec.task_class,
+    for arm, judge in judges.items():
+        curated = curate_all(s.train_q, candidates, model.embed_many, judge,
+                             template_id=s.task_class,
                              k=min(tr.judge_k, len(candidates)))
         for n in n_values:
             m = model.clone()
             run_stage3(m, candidates, queries, curated,
                        _plan("judge_ft", tr.stage3_steps, tr, seed, n_hard=n))
-            out[f"{arm}:n={n}"] = evaluate_embedder(m, candidates, eval_q, qrels)
+            out[f"{arm}:n={n}"] = evaluate_embedder(m, candidates, s.eval_q, s.qrels)
     return out
 
 
@@ -271,23 +281,33 @@ STAGE_LABELS = {"warmup": "warmup", "global_hnm": "+global-HNM",
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
-    """Execute the configured preset and assemble a consolidated report."""
+    """Execute the configured preset and assemble a consolidated report.
+
+    A seed that raises is recorded under `failures`; the run raises
+    ExperimentConfigError when every seed failed.
+    """
+    runners = {"table4": lambda seed: run_seed_pipeline(cfg, seed),
+               "table5": lambda seed: run_table5_seed(cfg, seed, cfg.sweep_n_hard)}
+    if cfg.preset not in runners:
+        raise ExperimentConfigError(f"unknown preset {cfg.preset!r}")
+    done = {}
+    failures: List[dict] = []
+    for seed in cfg.seeds:
+        try:
+            done[seed] = runners[cfg.preset](seed)
+        except Exception as exc:  # partial report with failure annotation
+            failures.append({"seed": seed, "error": f"{type(exc).__name__}: {exc}"})
+    if not done:
+        raise ExperimentConfigError("all seeds failed: " + json.dumps(failures))
+
     rows: List[dict] = []
     traces: Dict[str, Dict[str, List[float]]] = {}
-    failures: List[dict] = []
     if cfg.preset == "table4":
-        runs = []
-        for seed in cfg.seeds:
-            try:
-                runs.append(run_seed_pipeline(cfg, seed))
-            except Exception as exc:  # partial report with failure annotation
-                failures.append({"seed": seed, "error": f"{type(exc).__name__}: {exc}"})
+        runs = list(done.values())
         for run in runs:
             traces[str(run.seed)] = run.loss_traces
         for stage in ("warmup", "global_hnm", "judge_ft", "reranker"):
             per_seed = {str(r.seed): r.metrics[stage]["p_at_1"] for r in runs}
-            if not per_seed:
-                continue
             rows.append({
                 "config": STAGE_LABELS[stage],
                 **{f"seed{slot}": per_seed[slot] for slot in per_seed},
@@ -295,25 +315,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
                 "median_ndcg_at_5": statistics.median(
                     r.metrics[stage]["ndcg_at_5"] for r in runs),
             })
-    elif cfg.preset == "table5":
-        per_seed_tables = {}
-        for seed in cfg.seeds:
-            try:
-                per_seed_tables[seed] = run_table5_seed(cfg, seed, cfg.sweep_n_hard)
-            except Exception as exc:
-                failures.append({"seed": seed, "error": f"{type(exc).__name__}: {exc}"})
-        if not per_seed_tables:
-            raise ExperimentConfigError("all seeds failed: " + json.dumps(failures))
-        done_seeds = sorted(per_seed_tables)
-        keys = list(next(iter(per_seed_tables.values())))
-        for key in keys:
-            vals = {str(seed): per_seed_tables[seed][key]["p_at_1"]
-                    for seed in done_seeds}
+    else:
+        done_seeds = sorted(done)
+        for key in done[done_seeds[0]]:
+            vals = {str(seed): done[seed][key]["p_at_1"] for seed in done_seeds}
             rows.append({"config": key,
                          **{f"seed{slot}": vals[slot] for slot in vals},
                          "median_p_at_1": statistics.median(vals.values())})
-    else:
-        raise ExperimentConfigError(f"unknown preset {cfg.preset!r}")
 
     report = {
         "preset": cfg.preset,

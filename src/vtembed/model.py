@@ -203,10 +203,6 @@ class Model:
         toks = add(matmul(comp, self.params["conn_w"]), self.params["conn_b"])
         return reshape(toks, (n * cfg.visual_tokens, cfg.embed_dim))
 
-    def encode_visual(self, img: Grid2D) -> Tensor:
-        """Single-image convenience wrapper; output length is H*W/s^2."""
-        return self.encode_visual_batch([img])
-
     # ---- trunk ----
 
     def hidden_states(self, batch: Sequence[SerializedInput]) -> Tuple[Tensor, np.ndarray]:

@@ -12,7 +12,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field, asdict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,8 +68,6 @@ class StagePlan:
     mine_count: int = DEFAULT_MINE_COUNT
     mine_window: Tuple[int, int] = DEFAULT_MINE_WINDOW
     temperature: float = 0.03
-    grad_accum: int = 1
-    input_checkpoint: Optional[str] = None
     output_checkpoint: Optional[str] = None
 
     def __post_init__(self):
@@ -174,6 +172,23 @@ class _DivergenceWatch:
             self.bad = 0
 
 
+def _train_loop(model: Model, plan: StagePlan, steps: int,
+                loss_at: Callable[[int, np.random.Generator], Tensor],
+                t0: float) -> TrainReport:
+    """The one optimisation loop every stage runs: `loss_at(step, rng)`
+    builds the step's loss from that step's own random stream."""
+    opt = AdamState(plan.peak_lr, steps, plan.warmup_frac)
+    watch = _DivergenceWatch()
+    trace = []
+    for step in range(steps):
+        loss = loss_at(step, _step_rng(plan, step))
+        loss.backward()
+        optimizer_step(model.params, opt)
+        trace.append(loss.item())
+        watch.check(trace[-1], plan.stage)
+    return _finish(model, plan, trace, t0)
+
+
 def _finish(model: Model, plan: StagePlan, trace: List[float], t0: float) -> TrainReport:
     path = plan.output_checkpoint
     if path:
@@ -237,25 +252,14 @@ def run_stage1(model: Model, pairs: Sequence[Tuple[MultimodalExample, Tuple[int,
                plan: StagePlan) -> TrainReport:
     """Generative restoration: minimize next-token loss on responses."""
     t0 = time.perf_counter()
-    opt = AdamState(plan.peak_lr, plan.steps, plan.warmup_frac)
-    watch = _DivergenceWatch()
-    trace = []
-    for step in range(plan.steps):
-        rng = _step_rng(plan, step)
+
+    def loss_at(step, rng):
         idx = rng.choice(len(pairs), size=min(plan.batch_size, len(pairs)), replace=False)
-        loss = _ntp_batch(model, [pairs[i] for i in idx])
-        loss.backward()
-        optimizer_step(model.params, opt)
-        trace.append(loss.item())
-        watch.check(trace[-1], plan.stage)
-    return _finish(model, plan, trace, t0)
+        return _ntp_batch(model, [pairs[i] for i in idx])
+    return _train_loop(model, plan, plan.steps, loss_at, t0)
 
 
 # ---- stage 2: contrastive warmup + global hard negative mining ----
-
-def _embed_corpus(model: Model, candidates: Sequence[MultimodalExample]) -> CandidateIndex:
-    return CandidateIndex.build(model.embed_many(candidates))
-
 
 def _contrastive_step(model: Model, queries: Sequence[MultimodalExample],
                       by_id: Dict[str, MultimodalExample],
@@ -283,25 +287,31 @@ def _contrastive_step(model: Model, queries: Sequence[MultimodalExample],
     return info_nce(cb)
 
 
+def _contrastive_stage(model: Model, candidates: Sequence[MultimodalExample],
+                       train_q: Sequence[MultimodalExample], plan: StagePlan,
+                       extras_for: Callable[[int, List[MultimodalExample]],
+                                            Optional[List[List[str]]]],
+                       t0: float) -> TrainReport:
+    """Contrastive steps over batches of `train_q`; `extras_for(step,
+    batch)` gives each query's extra negative ids, or None for in-batch
+    negatives only."""
+    by_id = {c.example_id: c for c in candidates}
+
+    def loss_at(step, rng):
+        idx = rng.choice(len(train_q), size=min(plan.batch_size, len(train_q)), replace=False)
+        batch_q = [train_q[i] for i in idx]
+        return _contrastive_step(model, batch_q, by_id, extras_for(step, batch_q),
+                                 plan.temperature)
+    return _train_loop(model, plan, plan.steps, loss_at, t0)
+
+
 def run_warmup(model: Model, candidates: Sequence[MultimodalExample],
                queries: Sequence[MultimodalExample], plan: StagePlan) -> TrainReport:
     """Phase A: contrastive training with in-batch negatives only."""
     t0 = time.perf_counter()
-    by_id = {c.example_id: c for c in candidates}
     train_q = [q for q in queries if q.split == "train"]
-    opt = AdamState(plan.peak_lr, plan.steps, plan.warmup_frac)
-    watch = _DivergenceWatch()
-    trace = []
-    for step in range(plan.steps):
-        rng = _step_rng(plan, step)
-        idx = rng.choice(len(train_q), size=min(plan.batch_size, len(train_q)), replace=False)
-        loss = _contrastive_step(model, [train_q[i] for i in idx], by_id, None,
-                                 plan.temperature)
-        loss.backward()
-        optimizer_step(model.params, opt)
-        trace.append(loss.item())
-        watch.check(trace[-1], plan.stage)
-    return _finish(model, plan, trace, t0)
+    return _contrastive_stage(model, candidates, train_q, plan,
+                              lambda step, batch: None, t0)
 
 
 def mine_all(model: Model, candidates: Sequence[MultimodalExample],
@@ -312,7 +322,7 @@ def mine_all(model: Model, candidates: Sequence[MultimodalExample],
     Mining is frozen at the checkpoint that enters this phase; training
     steps never re-mine.
     """
-    index = _embed_corpus(model, candidates)
+    index = CandidateIndex.build(model.embed_many(candidates))
     qembs = model.embed_many(list(queries))
     mined: Dict[str, List[str]] = {}
     for i, (q, e) in enumerate(zip(queries, qembs)):
@@ -328,34 +338,13 @@ def run_global_hnm(model: Model, candidates: Sequence[MultimodalExample],
                    queries: Sequence[MultimodalExample], plan: StagePlan,
                    mined: Optional[Dict[str, List[str]]] = None) -> TrainReport:
     """Phase B: inject mined negatives and run a new round of training."""
-    t0 = time.perf_counter()
-    by_id = {c.example_id: c for c in candidates}
+    t0 = time.perf_counter()  # wall_clock covers mining too
     train_q = [q for q in queries if q.split == "train"]
     if mined is None:
         mined = mine_all(model, candidates, train_q, plan)
-    opt = AdamState(plan.peak_lr, plan.steps, plan.warmup_frac)
-    watch = _DivergenceWatch()
-    trace = []
-    for step in range(plan.steps):
-        rng = _step_rng(plan, step)
-        idx = rng.choice(len(train_q), size=min(plan.batch_size, len(train_q)), replace=False)
-        batch_q = [train_q[i] for i in idx]
-        extras = [mined[q.example_id] for q in batch_q]
-        loss = _contrastive_step(model, batch_q, by_id, extras, plan.temperature)
-        loss.backward()
-        optimizer_step(model.params, opt)
-        trace.append(loss.item())
-        watch.check(trace[-1], plan.stage)
-    return _finish(model, plan, trace, t0)
-
-
-def run_stage2(model: Model, candidates: Sequence[MultimodalExample],
-               queries: Sequence[MultimodalExample], plan_warmup: StagePlan,
-               plan_hnm: StagePlan) -> Tuple[TrainReport, TrainReport]:
-    """Full stage 2: warmup then global hard-negative mining."""
-    ra = run_warmup(model, candidates, queries, plan_warmup)
-    rb = run_global_hnm(model, candidates, queries, plan_hnm)
-    return ra, rb
+    return _contrastive_stage(model, candidates, train_q, plan,
+                              lambda step, batch: [mined[q.example_id] for q in batch],
+                              t0)
 
 
 # ---- stage 3: judge-curated fine-tuning ----
@@ -366,27 +355,16 @@ def run_stage3(model: Model, candidates: Sequence[MultimodalExample],
     """Contrastive training with judge hard negatives plus in-batch fill;
     the original ground truth stays the only positive."""
     t0 = time.perf_counter()
-    by_id = {c.example_id: c for c in candidates}
     curated_by_q = {s.query_id: s for s in curated}
     train_q = [q for q in queries if q.split == "train" and q.example_id in curated_by_q]
-    opt = AdamState(plan.peak_lr, plan.steps, plan.warmup_frac)
-    watch = _DivergenceWatch()
-    trace = []
-    for step in range(plan.steps):
-        rng = _step_rng(plan, step)
-        idx = rng.choice(len(train_q), size=min(plan.batch_size, len(train_q)), replace=False)
-        batch_q = [train_q[i] for i in idx]
-        extras = []
-        for j, q in enumerate(batch_q):
-            seed = int(np.random.SeedSequence([plan.seed, 17, step, j]).generate_state(1)[0])
-            extras.append(build_stage3_batch(curated_by_q[q.example_id],
-                                             n_hard=plan.n_hard, seed=seed))
-        loss = _contrastive_step(model, batch_q, by_id, extras, plan.temperature)
-        loss.backward()
-        optimizer_step(model.params, opt)
-        trace.append(loss.item())
-        watch.check(trace[-1], plan.stage)
-    return _finish(model, plan, trace, t0)
+
+    def judge_negatives(step, batch):
+        return [build_stage3_batch(
+                    curated_by_q[q.example_id], n_hard=plan.n_hard,
+                    seed=int(np.random.SeedSequence(
+                        [plan.seed, 17, step, j]).generate_state(1)[0]))
+                for j, q in enumerate(batch)]
+    return _contrastive_stage(model, candidates, train_q, plan, judge_negatives, t0)
 
 
 # ---- reranker ----
@@ -406,38 +384,28 @@ def run_reranker(model: Model, candidates: Sequence[MultimodalExample],
               if s.judge_negative_ids and s.query_id in q_by_id]
     if not usable:
         raise ValueError("no curated samples with judge negatives to train on")
-    opt = AdamState(plan.peak_lr, plan.epochs * len(usable), plan.warmup_frac)
-    watch = _DivergenceWatch()
-    trace = []
-    step = 0
-    for epoch in range(plan.epochs):
-        order = _step_rng(plan, 100000 + epoch).permutation(len(usable))
-        for i in order:
-            s = usable[i]
-            rng = _step_rng(plan, step)
-            query = q_by_id[s.query_id]
-            aug_pos = [s.gt_positive_id] + s.judge_positive_ids
-            pos_id = aug_pos[int(rng.integers(len(aug_pos)))]
-            neg_id = s.judge_negative_ids[int(rng.integers(len(s.judge_negative_ids)))]
-            point = (pointwise_loss(model, query, by_id[pos_id], True)
-                     + pointwise_loss(model, query, by_id[neg_id], False))
-            m = int(rng.integers(2, 6))  # M uniform in {2,3,4,5}
-            neg_pool = list(s.judge_negative_ids)
-            neg_picks = [neg_pool[j] for j in rng.choice(
-                len(neg_pool), size=min(m, len(neg_pool)), replace=False)]
-            while len(neg_picks) < m:  # pad with random corpus negatives
-                cid = candidates[int(rng.integers(len(candidates)))].example_id
-                if cid != s.gt_positive_id:
-                    neg_picks.append(cid)
-            lw_pos = aug_pos[int(rng.integers(len(aug_pos)))]
-            k = int(rng.integers(1, m + 2))  # uniform over 1..M+1
-            listing = [by_id[c] for c in neg_picks]
-            listing.insert(k - 1, by_id[lw_pos])
-            lw = listwise_loss(model, query, listing, k)
-            loss = total_rerank_loss(point, lw)
-            loss.backward()
-            optimizer_step(model.params, opt)
-            trace.append(loss.item())
-            watch.check(trace[-1], plan.stage)
-            step += 1
-    return _finish(model, plan, trace, t0)
+    order = [i for epoch in range(plan.epochs)
+             for i in _step_rng(plan, 100000 + epoch).permutation(len(usable))]
+
+    def loss_at(step, rng):
+        s = usable[order[step]]
+        query = q_by_id[s.query_id]
+        aug_pos = [s.gt_positive_id] + s.judge_positive_ids
+        pos_id = aug_pos[int(rng.integers(len(aug_pos)))]
+        neg_id = s.judge_negative_ids[int(rng.integers(len(s.judge_negative_ids)))]
+        point = (pointwise_loss(model, query, by_id[pos_id], True)
+                 + pointwise_loss(model, query, by_id[neg_id], False))
+        m = int(rng.integers(2, 6))  # M uniform in {2,3,4,5}
+        neg_pool = list(s.judge_negative_ids)
+        neg_picks = [neg_pool[j] for j in rng.choice(
+            len(neg_pool), size=min(m, len(neg_pool)), replace=False)]
+        while len(neg_picks) < m:  # pad with random corpus negatives
+            cid = candidates[int(rng.integers(len(candidates)))].example_id
+            if cid != s.gt_positive_id:
+                neg_picks.append(cid)
+        lw_pos = aug_pos[int(rng.integers(len(aug_pos)))]
+        k = int(rng.integers(1, m + 2))  # uniform over 1..M+1
+        listing = [by_id[c] for c in neg_picks]
+        listing.insert(k - 1, by_id[lw_pos])
+        return total_rerank_loss(point, listwise_loss(model, query, listing, k))
+    return _train_loop(model, plan, len(order), loss_at, t0)

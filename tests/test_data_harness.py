@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import vtembed.experiment as experiment
 from vtembed.cli import cli
 from vtembed.data import (
     CorpusFormatError,
@@ -17,13 +18,17 @@ from vtembed.data import (
     split_roles,
 )
 from vtembed.experiment import (
+    STAGE_LABELS,
     ExperimentConfig,
     ExperimentConfigError,
+    SeedRun,
     load_config,
     report_csv,
     report_markdown,
+    run_experiment,
 )
-from vtembed.model import ModelConfig
+from vtembed.model import Model, ModelConfig
+from vtembed.trainer import StagePlan, mine_all
 
 
 @pytest.fixture(scope="module")
@@ -173,6 +178,15 @@ class TestExperimentConfig:
         with pytest.raises(ExperimentConfigError):
             load_config(p)
 
+    @pytest.mark.parametrize("preset, runner", [("table4", "run_seed_pipeline"),
+                                                ("table5", "run_table5_seed")])
+    def test_all_seeds_failed_raises(self, monkeypatch, preset, runner):
+        def fail(*args, **kwargs):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(experiment, runner, fail)
+        with pytest.raises(ExperimentConfigError, match="all seeds failed"):
+            run_experiment(ExperimentConfig(preset=preset, seeds=[0, 1]))
+
     def test_report_rendering_with_missing_cells(self):
         report = {"rows": [{"config": "a", "seed0": 0.5, "median_p_at_1": 0.5},
                            {"config": "b", "seed1": 0.25, "median_p_at_1": 0.25}]}
@@ -256,3 +270,109 @@ class TestCLIContract:
                   "--qrels", "/nonexistent/q.tsv", "--ckpt", "/nonexistent/m"])
         assert rc == 2
         capsys.readouterr()
+
+    def test_experiment_with_a_failed_seed_exits_2(self, monkeypatch, tmp_path, capsys):
+        def one_seed(cfg, seed):
+            if seed == 1:
+                raise RuntimeError("seed 1 diverged")
+            return SeedRun(seed, {stage: {"p_at_1": 0.5, "ndcg_at_5": 0.5}
+                                  for stage in STAGE_LABELS}, {})
+        monkeypatch.setattr(experiment, "run_seed_pipeline", one_seed)
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({"seeds": [0, 1]}))
+        rc = cli(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "seed 1 diverged" in capsys.readouterr().err
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert [f["seed"] for f in report["failures"]] == [1]
+        assert report["rows"][0]["seed0"] == 0.5
+
+    def test_mine_matches_in_process_mining(self, cli_workspace, capsys):
+        root, cfg_path, data_dir = cli_workspace
+        corpus = data_dir / "corpus.jsonl"
+        ckpt = root / "mine_src.ckpt"
+        assert cli(["train", "--stage", "restore", "--seed", "0",
+                    "--config", str(cfg_path), "--corpus", str(corpus),
+                    "--steps", "1", "--out", str(ckpt)]) == 0
+        out = root / "mined.jsonl"
+        assert cli(["mine", "--seed", "3", "--corpus", str(corpus),
+                    "--ckpt", str(ckpt), "--out", str(out)]) == 0
+        capsys.readouterr()
+        candidates, queries = split_roles(load_corpus(corpus))
+        want = mine_all(Model.load(ckpt), candidates,
+                        [q for q in queries if q.split == "train"],
+                        StagePlan(stage="global_hnm", seed=3))
+        got = [json.loads(line) for line in out.read_text().splitlines()]
+        assert got == [{"query_id": qid, "negative_ids": ids} for qid, ids in want.items()]
+
+
+def test_cli_smoke_every_readme_command(cli_workspace, capsys):
+    """Each README subcommand on the tiny corpus: exit code and artifacts."""
+    root, cfg_path, data_dir = cli_workspace
+    ws = root / "smoke"
+    ws.mkdir()
+    corpus = str(data_dir / "corpus.jsonl")
+    qrels = str(data_dir / "qrels.tsv")
+
+    def run(*argv):
+        rc = cli([str(a) for a in argv])
+        assert rc == 0, (argv, capsys.readouterr().err)
+        return capsys.readouterr().out
+
+    def train(stage, out, *extra):
+        run("train", "--stage", stage, "--seed", "0", "--corpus", corpus,
+            "--steps", "2", "--out", ws / out, *extra)
+        for suffix in ("", ".meta.json", ".trace.csv", ".manifest.json"):
+            assert (ws / (out + suffix)).exists(), out + suffix
+        assert json.loads((ws / (out + ".meta.json")).read_text()) == {"stage": stage}
+
+    train("restore", "restore.ckpt", "--config", cfg_path)
+    train("warmup", "warmup.ckpt", "--in-ckpt", ws / "restore.ckpt")
+    train("global_hnm", "hnm.ckpt", "--in-ckpt", ws / "warmup.ckpt")
+    run("curate", "--corpus", corpus, "--ckpt", ws / "hnm.ckpt", "--judge", "oracle",
+        "--out", ws / "curated.jsonl")
+    curated = (ws / "curated.jsonl").read_text().splitlines()
+    assert curated and all(json.loads(line)["judge_negative_ids"] for line in curated)
+    train("judge_ft", "final.ckpt", "--in-ckpt", ws / "hnm.ckpt",
+          "--curated", ws / "curated.jsonl")
+    train("reranker", "reranker.ckpt", "--in-ckpt", ws / "restore.ckpt",
+          "--curated", ws / "curated.jsonl", "--epochs", "1")
+
+    for cmd, extra, stage in (("eval", [], "embed_only"),
+                              ("rerank-eval", ["--reranker-ckpt", ws / "reranker.ckpt"],
+                               "reranked")):
+        out = run(cmd, "--corpus", corpus, "--qrels", qrels, "--ckpt", ws / "final.ckpt",
+                  *extra, "--out", ws / f"{cmd}.tsv")
+        metrics = json.loads(out.strip().splitlines()[-1])
+        assert metrics["stage"] == stage and 0.0 <= metrics["p_at_1"] <= 1.0
+        rows = (ws / f"{cmd}.tsv").read_text().splitlines()
+        assert rows and all(r.split("\t")[-1] == stage for r in rows)
+
+    run("mine", "--corpus", corpus, "--ckpt", ws / "warmup.ckpt", "--out", ws / "mined.jsonl")
+    mined = [json.loads(line) for line in (ws / "mined.jsonl").read_text().splitlines()]
+    assert len(mined) == len(curated)  # both cover the train queries
+    assert all(set(r) == {"query_id", "negative_ids"} and len(r["negative_ids"]) == 2
+               for r in mined)
+
+    out = run("judge", "--corpus", corpus, "--ckpt", ws / "final.ckpt", "--k", "5")
+    verdicts = out.strip().splitlines()
+    assert verdicts and all(len(v.split("\t")) == 5 for v in verdicts)
+
+    run("profile", "--grid", "4", "--trials", "3", "--out", ws / "profile")
+    csv = (ws / "profile" / "efficiency.csv").read_text().splitlines()
+    assert csv[0] == "config,#VT_q,l_q (ms),#VT_c,l_c (ms)" and len(csv) == 3
+
+    tiny = json.loads(cfg_path.read_text())
+    tiny.update(seeds=[0], sweep_n_hard=[0, 2],
+                train={"stage1_steps": 2, "warmup_steps": 2, "hnm_steps": 2,
+                       "stage3_steps": 2})
+    exp_cfg = ws / "exp.json"
+    exp_cfg.write_text(json.dumps(tiny))
+    for preset, configs in (("table4", list(STAGE_LABELS.values())),
+                            ("table5", ["mllm:n=0", "mllm:n=2", "rule:n=0", "rule:n=2"])):
+        run("experiment", "--preset", preset, "--config", exp_cfg, "--out", ws / preset)
+        report = json.loads((ws / preset / "report.json").read_text())
+        assert report["preset"] == preset and not report["failures"]
+        assert [r["config"] for r in report["rows"]] == configs
+        for name in ("report.md", "report.csv", "manifest.json"):
+            assert (ws / preset / name).exists()
