@@ -77,9 +77,6 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
         self.grad += g
 
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self, grad=None):
         if grad is None:
             if self.data.size != 1:
@@ -210,18 +207,6 @@ def log(a) -> Tensor:
     def bw(g):
         if a.requires_grad:
             a._accum(g / a.data)
-
-    out._backward = bw
-    return out
-
-
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(np.tanh(a.data), parents=(a,))
-
-    def bw(g):
-        if a.requires_grad:
-            a._accum(g * (1.0 - out.data ** 2))
 
     out._backward = bw
     return out

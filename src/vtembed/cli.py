@@ -6,6 +6,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,6 @@ from .curation import (
     save_curated,
 )
 from .data import (
-    SyntheticTaskSpec,
     generate_corpus,
     instruction_pairs,
     load_corpus,
@@ -38,7 +38,7 @@ from .experiment import (
     run_experiment,
     two_stage_results,
 )
-from .model import Model, ModelConfig
+from .model import Model
 from .profiler import emit_efficiency_table, measure_encode, token_budget
 from .retrieval import (
     corpus_digest,
@@ -48,6 +48,7 @@ from .retrieval import (
 )
 from .trainer import (
     REQUIRED_PREDECESSOR,
+    STAGES,
     StagePlan,
     check_predecessor,
     load_stage_checkpoint,
@@ -71,12 +72,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _write_manifest(out_dir: Path, payload: dict):
-    out_dir.mkdir(parents=True, exist_ok=True)
-    payload = dict(payload)
-    payload["manifest_hash"] = hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
-    (out_dir / "manifest.json").write_text(json.dumps(payload, indent=2))
+def _write_manifest(path, payload: dict):
+    """Write `payload` plus a hash of it, which names the run."""
+    payload = {**payload, "manifest_hash": hashlib.sha256(
+        json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]}
+    Path(path).write_text(json.dumps(payload, indent=2))
 
 
 def _side_manifest(args, command: str, **extra):
@@ -88,20 +88,16 @@ def _side_manifest(args, command: str, **extra):
                "config": getattr(args, "config", None), **extra}
     if getattr(args, "corpus", None):
         payload["corpus_hash"] = corpus_digest(args.corpus)
-    payload["manifest_hash"] = hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
-    with open(str(args.out) + ".manifest.json", "w") as f:
-        json.dump(payload, f, indent=2)
+    _write_manifest(str(args.out) + ".manifest.json", payload)
 
 
-def _model_cfg(args) -> ModelConfig:
-    d = ModelConfig().to_dict()
-    if args.config:
-        with open(args.config) as f:
-            d.update(json.load(f).get("model", {}))
-    if getattr(args, "seed", None) is not None:
-        d["seed"] = args.seed
-    return ModelConfig.from_dict(d)
+def _config(args) -> ExperimentConfig:
+    return load_config(args.config) if args.config else ExperimentConfig()
+
+
+def _seeded(section, args):
+    """A model or data config section with --seed applied when given."""
+    return section if args.seed is None else replace(section, seed=args.seed)
 
 
 def _make_judge(name: str, noise: float, seed: int, ckpt):
@@ -117,22 +113,16 @@ def _make_judge(name: str, noise: float, seed: int, ckpt):
 
 
 def cmd_gen_data(args) -> int:
-    cfg = _model_cfg(args)
-    d = SyntheticTaskSpec().to_dict()
-    if args.config:
-        with open(args.config) as f:
-            d.update(json.load(f).get("data", {}))
-    if args.seed is not None:
-        d["seed"] = args.seed
-    spec = SyntheticTaskSpec.from_dict(d)
+    exp = _config(args)
+    cfg, spec = _seeded(exp.model, args), _seeded(exp.data, args)
     candidates, queries, qrels = generate_corpus(spec, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_corpus(out / "corpus.jsonl", candidates + queries)
     save_qrels(out / "qrels.tsv", qrels)
-    _write_manifest(out, {"command": "gen-data", "data": spec.to_dict(),
-                          "model": cfg.to_dict(),
-                          "corpus_hash": corpus_digest(out / "corpus.jsonl")})
+    _write_manifest(out / "manifest.json",
+                    {"command": "gen-data", "data": spec.to_dict(), "model": cfg.to_dict(),
+                     "corpus_hash": corpus_digest(out / "corpus.jsonl")})
     print(f"wrote {len(candidates)} candidates, {len(queries)} queries to {out}")
     return EXIT_OK
 
@@ -145,7 +135,7 @@ def cmd_train(args) -> int:
         model = load_stage_checkpoint(args.in_ckpt, REQUIRED_PREDECESSOR[stage])
     else:
         check_predecessor(stage, None)
-        model = Model(_model_cfg(args))
+        model = Model(_seeded(_config(args).model, args))
     plan = StagePlan(stage=stage, steps=args.steps, batch_size=args.batch_size,
                      peak_lr=args.lr, seed=args.seed or 0, n_hard=args.n_hard,
                      epochs=args.epochs, output_checkpoint=args.out)
@@ -187,15 +177,19 @@ def cmd_mine(args) -> int:
     return EXIT_OK
 
 
-def cmd_judge(args) -> int:
-    examples = load_corpus(args.corpus)
-    candidates, queries = split_roles(examples)
+def _judged(args, wanted):
+    """Retrieve and judge the corpus queries for which `wanted(q)` holds."""
+    candidates, queries = split_roles(load_corpus(args.corpus))
     judge = _make_judge(args.judge, args.noise, args.seed or 0, args.ckpt)
-    embed_model = Model.load(args.ckpt) if args.ckpt else Model(_model_cfg(args))
-    wanted = [q for q in queries if args.query_id in (None, q.example_id)]
-    samples = curate_all(wanted, candidates, embed_model.embed_many, judge,
-                         template_id=args.template, k=min(args.k, len(candidates)))
-    for s in samples:
+    embed_model = (Model.load(args.ckpt) if args.ckpt
+                   else Model(_seeded(_config(args).model, args)))
+    return curate_all([q for q in queries if wanted(q)], candidates,
+                      embed_model.embed_many, judge, template_id=args.template,
+                      k=min(args.k, len(candidates)))
+
+
+def cmd_judge(args) -> int:
+    for s in _judged(args, lambda q: args.query_id in (None, q.example_id)):
         for v in s.verdicts:
             print(f"{s.query_id}\t{v.candidate_id}\t{v.logit_yes!r}\t"
                   f"{v.logit_no!r}\t{v.verdict}")
@@ -203,13 +197,7 @@ def cmd_judge(args) -> int:
 
 
 def cmd_curate(args) -> int:
-    examples = load_corpus(args.corpus)
-    candidates, queries = split_roles(examples)
-    judge = _make_judge(args.judge, args.noise, args.seed or 0, args.ckpt)
-    embed_model = Model.load(args.ckpt) if args.ckpt else Model(_model_cfg(args))
-    train_q = [q for q in queries if q.split == "train"]
-    samples = curate_all(train_q, candidates, embed_model.embed_many, judge,
-                         template_id=args.template, k=min(args.k, len(candidates)))
+    samples = _judged(args, lambda q: q.split == "train")
     save_curated(args.out, samples)
     _side_manifest(args, "curate", ckpt=args.ckpt, judge=args.judge,
                    noise=args.noise, k=args.k, template=args.template)
@@ -217,42 +205,32 @@ def cmd_curate(args) -> int:
     return EXIT_OK
 
 
-def _eval_common(args, two_stage: bool) -> int:
+def cmd_eval(args) -> int:
+    """`eval` ranks by embedding only; `rerank-eval` also reranks."""
     examples = load_corpus(args.corpus)
     candidates, queries = split_roles(examples)
     qrels = load_qrels(args.qrels)
     eval_q = [q for q in queries if q.split == "eval"] or queries
     model = Model.load(args.ckpt)
-    if two_stage:
+    if args.command == "rerank-eval":
         reranker = Model.load(args.reranker_ckpt) if args.reranker_ckpt else None
         results = two_stage_results(model, candidates, eval_q, qrels, reranker)
     else:
         results = embed_results(model, candidates, eval_q)
     if args.out:
         save_results(args.out, results)
-        _side_manifest(args, "rerank-eval" if two_stage else "eval",
-                       ckpt=args.ckpt,
+        _side_manifest(args, args.command, ckpt=args.ckpt,
                        reranker_ckpt=getattr(args, "reranker_ckpt", None))
     print(json.dumps({"stage": results[0].stage, **retrieval_metrics(results, qrels)}))
     return EXIT_OK
-
-
-def cmd_eval(args) -> int:
-    return _eval_common(args, two_stage=False)
-
-
-def cmd_rerank_eval(args) -> int:
-    return _eval_common(args, two_stage=True)
 
 
 def cmd_profile(args) -> int:
     from .autograd import Grid2D
     from .model import MultimodalExample, with_compression
     factors = [int(x) for x in args.factors.split(",")]
-    base = ModelConfig.from_dict({**ModelConfig().to_dict(),
-                                  "patch_h": args.grid, "patch_w": args.grid,
-                                  "max_seq_len": args.grid * args.grid + 32,
-                                  "seed": args.seed or 0})
+    base = replace(_seeded(_config(args).model, args), patch_h=args.grid,
+                   patch_w=args.grid, max_seq_len=args.grid * args.grid + 32)
     profiles = []
     for s in factors:
         cfg = with_compression(base, s)
@@ -275,7 +253,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    cfg = load_config(args.config) if args.config else ExperimentConfig()
+    cfg = _config(args)
     if args.preset is not None:  # the flag wins over the config's preset
         cfg.preset = args.preset
     if args.seed is not None:
@@ -310,8 +288,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("train", help="run one training stage")
     common(sp, corpus=True)
-    sp.add_argument("--stage", required=True,
-                    choices=["restore", "warmup", "global_hnm", "judge_ft", "reranker"])
+    sp.add_argument("--stage", required=True, choices=STAGES)
     sp.add_argument("--in-ckpt", default=None)
     sp.add_argument("--curated", default=None)
     sp.add_argument("--steps", type=int, default=plan.steps)
@@ -347,7 +324,7 @@ def build_parser() -> _Parser:
     common(sp, corpus=True, qrels=True)
     sp.add_argument("--ckpt", required=True)
     sp.add_argument("--reranker-ckpt", default=None)
-    sp.set_defaults(func=cmd_rerank_eval)
+    sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("profile", help="token budgets and encode latency")
     common(sp)
@@ -373,7 +350,7 @@ def cli(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as exc:  # runtime failures map to exit 2
-        sys.stderr.write(f"error: {exc}\n")
+        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return EXIT_RUNTIME
 
 

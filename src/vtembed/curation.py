@@ -10,7 +10,9 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from . import vocab
 from .model import LengthError, Model, MultimodalExample
+from .prompts import pointwise_prompt
 from .retrieval import CandidateIndex, search
 from .templates import judgment_instruction
 
@@ -81,7 +83,7 @@ def mine_from_index(query_id: str, query_vec: np.ndarray, index: CandidateIndex,
     without replacement from 1-based rank positions [lo, hi].
 
     A corpus smaller than hi shrinks the window to [min(lo, size), size]
-    with a warning; a corpus smaller than n is a sampling error.
+    and sets `shrunk`; a corpus smaller than n is a sampling error.
     """
     ranked = search(index, query_vec, k=len(index), query_id=query_id)
     pool = [cid for cid in ranked.ids if cid != gt_positive_id]
@@ -98,8 +100,6 @@ def mine_from_index(query_id: str, query_vec: np.ndarray, index: CandidateIndex,
         # keep the window deep enough to hold n samples
         lo, hi = max(1, min(lo, size - n + 1)), size
         shrunk = True
-        logger.warning("mining window shrunk to (%d, %d) for %s (corpus size %d)",
-                       lo, hi, query_id, size)
     rng = np.random.default_rng(seed)
     window_ids = pool[lo - 1:hi]
     picks = rng.choice(len(window_ids), size=n, replace=False)
@@ -148,8 +148,6 @@ class ModelJudge:
 
     def judge_logits(self, query: MultimodalExample, candidate: MultimodalExample,
                      instruction=()) -> Tuple[float, float]:
-        from . import vocab
-        from .prompts import pointwise_prompt
         prompt = pointwise_prompt(query, candidate, self.model.cfg, tuple(instruction))
         logits = self.model.next_token_logits(prompt)
         return float(logits[vocab.YES]), float(logits[vocab.NO])

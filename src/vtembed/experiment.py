@@ -15,11 +15,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
-from . import vocab
-from .curation import AlwaysIrrelevantJudge, ClassOracleJudge, curate_all
+from .curation import (
+    DEFAULT_JUDGE_K,
+    AlwaysIrrelevantJudge,
+    ClassOracleJudge,
+    ModelJudge,
+    curate_all,
+)
 from .data import SyntheticTaskSpec, generate_corpus, instruction_pairs
 from .model import Model, ModelConfig, MultimodalExample
-from .prompts import pointwise_prompt
 from .retrieval import (
     CandidateIndex,
     Qrels,
@@ -56,10 +60,7 @@ class TrainSettings:
     stage3_lr: float = 1e-3    # gentler fine-tuning on judge hard negatives
     n_hard: int = 12
     judge_noise: float = 0.0
-    judge_k: int = 20
     reranker: str = "oracle"  # "oracle" | "trained"
-    reranker_epochs: int = 2
-    temperature: float = 0.03
 
 
 @dataclass
@@ -91,15 +92,24 @@ class ExperimentConfig:
         return cls(
             preset=d.get("preset", "table4"),
             seeds=list(d.get("seeds", [0, 1, 2, 3, 4])),
-            model=ModelConfig.from_dict({**ModelConfig().to_dict(), **d.get("model", {})}),
-            data=SyntheticTaskSpec.from_dict(
-                {**SyntheticTaskSpec().to_dict(), **d.get("data", {})}),
-            train=TrainSettings(**d.get("train", {})),
+            model=_section(ModelConfig, d, "model"),
+            data=_section(SyntheticTaskSpec, d, "data"),
+            train=_section(TrainSettings, d, "train"),
             sweep_n_hard=list(d.get("sweep_n_hard", [0, 4, 8, 12, 16, 20])))
 
     def config_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def _section(kind, d: dict, name: str):
+    """Section `name` of a config dict as a `kind`; unset fields keep their
+    defaults and an unknown key is an ExperimentConfigError."""
+    given = d.get(name, {})
+    unknown = sorted(set(given) - set(kind.__dataclass_fields__))
+    if unknown:
+        raise ExperimentConfigError(f"unknown {name} key(s): {', '.join(unknown)}")
+    return kind(**given)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -139,10 +149,11 @@ def oracle_scorer(query_id: str, qrels: Qrels) -> Callable[[str], float]:
 def model_scorer(reranker: Model, query: MultimodalExample,
                  by_id: Dict[str, MultimodalExample]) -> Callable[[str], float]:
     """Pointwise YES-NO logit margin from a trained reranker."""
+    judge = ModelJudge(reranker)
+
     def score(cid: str) -> float:
-        prompt = pointwise_prompt(query, by_id[cid], reranker.cfg)
-        logits = reranker.next_token_logits(prompt)
-        return float(logits[vocab.YES] - logits[vocab.NO])
+        logit_yes, logit_no = judge.judge_logits(query, by_id[cid])
+        return logit_yes - logit_no
     return score
 
 
@@ -180,23 +191,27 @@ class SeedRun:
 def _plan(stage: str, steps: int, tr: TrainSettings, seed: int, **kw) -> StagePlan:
     lr = tr.stage3_lr if stage == "judge_ft" else tr.peak_lr
     return StagePlan(stage=stage, steps=steps, batch_size=tr.batch_size,
-                     peak_lr=lr, seed=seed, temperature=tr.temperature, **kw)
+                     peak_lr=lr, seed=seed, **kw)
 
 
 @dataclass
 class _Seed:
-    """One seed's corpus and its model after generative restoration."""
+    """One seed's corpus and its model trained through global HNM, with
+    copies of the restore and warmup states."""
     task_class: str
     candidates: List[MultimodalExample]
     queries: List[MultimodalExample]
     qrels: Qrels
     train_q: List[MultimodalExample]
     eval_q: List[MultimodalExample]
+    restored: Model   # where the trained reranker starts
+    warmed: Model
     model: Model
-    restore_trace: List[float]
+    traces: Dict[str, List[float]]
 
 
-def _restored_seed(cfg: ExperimentConfig, seed: int) -> _Seed:
+def _trained_through_hnm(cfg: ExperimentConfig, seed: int) -> _Seed:
+    """The prefix every preset shares: restore -> warmup -> global HNM."""
     tr = cfg.train
     mcfg = ModelConfig.from_dict({**cfg.model.to_dict(), "seed": seed})
     dspec = SyntheticTaskSpec.from_dict({**cfg.data.to_dict(), "seed": seed})
@@ -204,42 +219,44 @@ def _restored_seed(cfg: ExperimentConfig, seed: int) -> _Seed:
     model = Model(mcfg)
     r1 = run_stage1(model, instruction_pairs(candidates, dspec.seed, mcfg.vocab_size),
                     _plan("restore", tr.stage1_steps, tr, seed))
+    restored = model.clone()
+    rw = run_warmup(model, candidates, queries, _plan("warmup", tr.warmup_steps, tr, seed))
+    warmed = model.clone()
+    rh = run_global_hnm(model, candidates, queries,
+                        _plan("global_hnm", tr.hnm_steps, tr, seed))
     return _Seed(task_class=dspec.task_class, candidates=candidates, queries=queries,
                  qrels=qrels, train_q=[q for q in queries if q.split == "train"],
                  eval_q=[q for q in queries if q.split == "eval"],
-                 model=model, restore_trace=r1.loss_trace)
+                 restored=restored, warmed=warmed, model=model,
+                 traces={"restore": r1.loss_trace, "warmup": rw.loss_trace,
+                         "global_hnm": rh.loss_trace})
+
+
+def _curated(s: _Seed, judge):
+    return curate_all(s.train_q, s.candidates, s.model.embed_many, judge,
+                      template_id=s.task_class, k=min(DEFAULT_JUDGE_K, len(s.candidates)))
 
 
 def run_seed_pipeline(cfg: ExperimentConfig, seed: int) -> SeedRun:
     """Run the cumulative pipeline for one seed, evaluating after each
     stage on the held-out queries."""
     tr = cfg.train
-    s = _restored_seed(cfg, seed)
+    s = _trained_through_hnm(cfg, seed)
     model, candidates, queries, eval_q, qrels = (s.model, s.candidates, s.queries,
                                                  s.eval_q, s.qrels)
-    # the trained reranker branches from the restore checkpoint
-    reranker = model.clone() if tr.reranker == "trained" else None
-    traces: Dict[str, List[float]] = {"restore": s.restore_trace}
-    metrics: Dict[str, Dict[str, float]] = {}
+    traces = dict(s.traces)
+    metrics = {"warmup": evaluate_embedder(s.warmed, candidates, eval_q, qrels),
+               "global_hnm": evaluate_embedder(model, candidates, eval_q, qrels)}
 
-    rw = run_warmup(model, candidates, queries, _plan("warmup", tr.warmup_steps, tr, seed))
-    traces["warmup"] = rw.loss_trace
-    metrics["warmup"] = evaluate_embedder(model, candidates, eval_q, qrels)
-    rh = run_global_hnm(model, candidates, queries,
-                        _plan("global_hnm", tr.hnm_steps, tr, seed))
-    traces["global_hnm"] = rh.loss_trace
-    metrics["global_hnm"] = evaluate_embedder(model, candidates, eval_q, qrels)
-
-    judge = ClassOracleJudge(noise_rate=tr.judge_noise, seed=seed)
-    curated = curate_all(s.train_q, candidates, model.embed_many, judge,
-                         template_id=s.task_class, k=min(tr.judge_k, len(candidates)))
+    curated = _curated(s, ClassOracleJudge(noise_rate=tr.judge_noise, seed=seed))
     r3 = run_stage3(model, candidates, queries, curated,
                     _plan("judge_ft", tr.stage3_steps, tr, seed, n_hard=tr.n_hard))
     traces["judge_ft"] = r3.loss_trace
     metrics["judge_ft"] = evaluate_embedder(model, candidates, eval_q, qrels)
+    reranker = s.restored if tr.reranker == "trained" else None
     if reranker is not None:
         rr = run_reranker(reranker, candidates, queries, curated,
-                          _plan("reranker", 0, tr, seed, epochs=tr.reranker_epochs))
+                          _plan("reranker", 0, tr, seed))
         traces["reranker"] = rr.loss_trace
     metrics["reranker"] = evaluate_two_stage(model, candidates, eval_q, qrels,
                                              reranker=reranker)
@@ -254,23 +271,17 @@ def run_table5_seed(cfg: ExperimentConfig, seed: int,
     stage-3 copy from that checkpoint.
     """
     tr = cfg.train
-    s = _restored_seed(cfg, seed)
-    model, candidates, queries = s.model, s.candidates, s.queries
-    run_warmup(model, candidates, queries, _plan("warmup", tr.warmup_steps, tr, seed))
-    run_global_hnm(model, candidates, queries, _plan("global_hnm", tr.hnm_steps, tr, seed))
-
+    s = _trained_through_hnm(cfg, seed)
     judges = {"mllm": ClassOracleJudge(noise_rate=tr.judge_noise, seed=seed),
               "rule": AlwaysIrrelevantJudge()}
     out: Dict[str, Dict[str, float]] = {}
     for arm, judge in judges.items():
-        curated = curate_all(s.train_q, candidates, model.embed_many, judge,
-                             template_id=s.task_class,
-                             k=min(tr.judge_k, len(candidates)))
+        curated = _curated(s, judge)
         for n in n_values:
-            m = model.clone()
-            run_stage3(m, candidates, queries, curated,
+            m = s.model.clone()
+            run_stage3(m, s.candidates, s.queries, curated,
                        _plan("judge_ft", tr.stage3_steps, tr, seed, n_hard=n))
-            out[f"{arm}:n={n}"] = evaluate_embedder(m, candidates, s.eval_q, s.qrels)
+            out[f"{arm}:n={n}"] = evaluate_embedder(m, s.candidates, s.eval_q, s.qrels)
     return out
 
 

@@ -124,13 +124,17 @@ def ntp_loss(logit_sequence: Tensor, targets, mask) -> Tensor:
     return mul(sum_(mul(lp, constant(mask.astype(np.float64)))), -1.0 / n)
 
 
+def _answer_ce(model: Model, prompt, answer: int) -> Tensor:
+    """Cross-entropy of the prompt's next token against `answer`."""
+    logits = model.next_token_logits_t([prompt])
+    return mul(mean(gather_last(log_softmax(logits), np.asarray([answer]))), -1.0)
+
+
 def pointwise_loss(model: Model, query: MultimodalExample, candidate: MultimodalExample,
                    label: bool, instruction=()) -> Tensor:
     """CE pushing the next token toward YES (positive pair) or NO."""
     prompt = pointwise_prompt(query, candidate, model.cfg, tuple(instruction))
-    logits = model.next_token_logits_t([prompt])
-    target = np.asarray([vocab.YES if label else vocab.NO])
-    return mul(mean(gather_last(log_softmax(logits), target)), -1.0)
+    return _answer_ce(model, prompt, vocab.YES if label else vocab.NO)
 
 
 def listwise_loss(model: Model, query: MultimodalExample,
@@ -144,9 +148,7 @@ def listwise_loss(model: Model, query: MultimodalExample,
     if not 1 <= k <= len(candidates):
         raise ParameterError(f"positive position {k} outside 1..{len(candidates)}")
     prompt = listwise_prompt(query, candidates, model.cfg, tuple(instruction))
-    logits = model.next_token_logits_t([prompt])
-    target = np.asarray([vocab.digit_token(k)])
-    return mul(mean(gather_last(log_softmax(logits), target)), -1.0)
+    return _answer_ce(model, prompt, vocab.digit_token(k))
 
 
 def total_rerank_loss(point: Tensor, listwise: Tensor) -> Tensor:

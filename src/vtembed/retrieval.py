@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import logging
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
@@ -28,7 +28,6 @@ class EvaluationError(ValueError):
 class CandidateIndex:
     ids: List[str]
     matrix: np.ndarray  # |ids| x D, unit-norm rows
-    corpus_hash: str = ""
 
     def __post_init__(self):
         if len(self.ids) != len(set(self.ids)):
@@ -41,11 +40,11 @@ class CandidateIndex:
         return len(self.ids)
 
     @classmethod
-    def build(cls, embeddings: Sequence[Embedding], corpus_hash: str = "") -> "CandidateIndex":
+    def build(cls, embeddings: Sequence[Embedding]) -> "CandidateIndex":
         ids = [e.source_id for e in embeddings]
         matrix = (np.stack([e.vector for e in embeddings])
                   if embeddings else np.zeros((0, 0)))
-        return cls(ids=ids, matrix=matrix, corpus_hash=corpus_hash)
+        return cls(ids=ids, matrix=matrix)
 
 
 @dataclass
@@ -107,15 +106,20 @@ def rerank_topk(result: RankedResult, scorer: PairScorer,
 Qrels = Dict[str, Dict[str, int]]  # query_id -> candidate_id -> relevance grade
 
 
-def precision_at_1(results: Sequence[RankedResult], qrels: Qrels) -> float:
-    """Fraction of queries whose rank-1 candidate is relevant."""
+def _checked(results: Sequence[RankedResult], qrels: Qrels) -> Sequence[RankedResult]:
+    """`results`, after checking it is non-empty and every query has qrels."""
     if not results:
         raise EvaluationError("no results to evaluate")
-    hits = 0
     for r in results:
         if r.query_id not in qrels:
             raise EvaluationError(f"query {r.query_id} missing from qrels")
-        hits += int(qrels[r.query_id].get(r.ids[0], 0) > 0)
+    return results
+
+
+def precision_at_1(results: Sequence[RankedResult], qrels: Qrels) -> float:
+    """Fraction of queries whose rank-1 candidate is relevant."""
+    hits = sum(int(qrels[r.query_id].get(r.ids[0], 0) > 0)
+               for r in _checked(results, qrels))
     return hits / len(results)
 
 
@@ -125,12 +129,8 @@ def ndcg_at_5(results: Sequence[RankedResult], qrels: Qrels) -> float:
 
 
 def ndcg_at_k(results: Sequence[RankedResult], qrels: Qrels, k: int) -> float:
-    if not results:
-        raise EvaluationError("no results to evaluate")
     total = 0.0
-    for r in results:
-        if r.query_id not in qrels:
-            raise EvaluationError(f"query {r.query_id} missing from qrels")
+    for r in _checked(results, qrels):
         rel = qrels[r.query_id]
         dcg = sum((2.0 ** rel.get(cid, 0) - 1.0) / np.log2(rank + 1)
                   for rank, cid in enumerate(r.ids[:k], start=1))
@@ -142,12 +142,8 @@ def ndcg_at_k(results: Sequence[RankedResult], qrels: Qrels, k: int) -> float:
 
 
 def recall_at_k(results: Sequence[RankedResult], qrels: Qrels, k: int) -> float:
-    if not results:
-        raise EvaluationError("no results to evaluate")
     total = 0.0
-    for r in results:
-        if r.query_id not in qrels:
-            raise EvaluationError(f"query {r.query_id} missing from qrels")
+    for r in _checked(results, qrels):
         relevant = {cid for cid, g in qrels[r.query_id].items() if g > 0}
         if not relevant:
             raise EvaluationError(f"query {r.query_id} has no relevant candidates")

@@ -1,15 +1,14 @@
-"""Instruction template registry for the nine synthetic task classes.
+"""Instruction templates for the nine synthetic task classes.
 
 Each task class carries a query instruction, a target instruction, and a
-judgment instruction. Text is tokenized deterministically as a
+judgment instruction. Each is tokenized deterministically as a
 (task token, kind token) pair in a reserved instruction-token band so the
 toy vocabulary stays small while distinct templates stay distinguishable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 from . import vocab
 
@@ -21,51 +20,8 @@ INSTR_KIND_BASE = INSTR_TASK_BASE + len(TASK_CLASSES)  # 3 kind tokens
 FREE_DATA_START = INSTR_KIND_BASE + len(_KINDS)  # first id usable for data tokens
 
 
-@dataclass(frozen=True)
-class TemplateEntry:
-    task_id: str
-    query_instruction: str
-    target_instruction: str
-    judgment_instruction: str
-
-
-_REGISTRY: Dict[str, TemplateEntry] = {e.task_id: e for e in (
-    TemplateEntry("T2T", "Retrieve a text passage relevant to the query text.",
-                  "Encode the candidate text.",
-                  "Decide whether the candidate text is relevant to the query text."),
-    TemplateEntry("I2I", "Retrieve an image similar to the query image.",
-                  "Encode the candidate image.",
-                  "Decide whether the two images depict the same thing."),
-    TemplateEntry("T2I", "Retrieve an image matching the query text.",
-                  "Encode the candidate image.",
-                  "Decide whether the candidate image matches the query text."),
-    TemplateEntry("I2T", "Retrieve a text describing the query image.",
-                  "Encode the candidate text.",
-                  "Decide whether the candidate text describes the query image."),
-    TemplateEntry("IT2I", "Retrieve an image matching the query image as modified by the query text.",
-                  "Encode the candidate image.",
-                  "Decide whether the candidate image matches the combined image-text query."),
-    TemplateEntry("IT2T", "Retrieve a text answering the question about the query image.",
-                  "Encode the candidate text.",
-                  "Decide whether the candidate text answers the question about the query image."),
-    TemplateEntry("T2IT", "Retrieve an image-text pair relevant to the query text.",
-                  "Encode the candidate image together with its text.",
-                  "Decide whether the candidate image-text pair is relevant to the query text."),
-    TemplateEntry("IT2IT", "Retrieve an image-text pair matching the combined query.",
-                  "Encode the candidate image together with its text.",
-                  "Decide whether the two image-text pairs match."),
-    TemplateEntry("T2VD", "Retrieve a visual document relevant to the query text.",
-                  "Encode the candidate visual document.",
-                  "Decide whether the candidate visual document is relevant to the query text."),
-)}
-
-
-def registry() -> Dict[str, TemplateEntry]:
-    return dict(_REGISTRY)
-
-
 def _tokens(task_id: str, kind: str) -> Tuple[int, int]:
-    if task_id not in _REGISTRY:
+    if task_id not in TASK_CLASSES:
         raise KeyError(f"unknown template id {task_id!r}")
     return (INSTR_TASK_BASE + TASK_CLASSES.index(task_id),
             INSTR_KIND_BASE + _KINDS.index(kind))

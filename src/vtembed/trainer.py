@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import time
 from dataclasses import dataclass, field, asdict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -42,6 +43,8 @@ REQUIRED_PREDECESSOR = {"restore": None, "warmup": "restore",
                         "global_hnm": "warmup", "judge_ft": "global_hnm",
                         "reranker": "restore"}
 
+logger = logging.getLogger(__name__)
+
 
 class DivergenceError(RuntimeError):
     pass
@@ -61,13 +64,11 @@ class StagePlan:
     steps: int = 100
     batch_size: int = 8
     peak_lr: float = 3e-4
-    warmup_frac: float = 0.05
     seed: int = 0
     epochs: int = 2              # reranker only
     n_hard: int = DEFAULT_STAGE3_HARD_NEGATIVES  # judge_ft only
     mine_count: int = DEFAULT_MINE_COUNT
     mine_window: Tuple[int, int] = DEFAULT_MINE_WINDOW
-    temperature: float = 0.03
     output_checkpoint: Optional[str] = None
 
     def __post_init__(self):
@@ -177,7 +178,7 @@ def _train_loop(model: Model, plan: StagePlan, steps: int,
                 t0: float) -> TrainReport:
     """The one optimisation loop every stage runs: `loss_at(step, rng)`
     builds the step's loss from that step's own random stream."""
-    opt = AdamState(plan.peak_lr, steps, plan.warmup_frac)
+    opt = AdamState(plan.peak_lr, steps)
     watch = _DivergenceWatch()
     trace = []
     for step in range(steps):
@@ -263,8 +264,7 @@ def run_stage1(model: Model, pairs: Sequence[Tuple[MultimodalExample, Tuple[int,
 
 def _contrastive_step(model: Model, queries: Sequence[MultimodalExample],
                       by_id: Dict[str, MultimodalExample],
-                      extra_ids: Optional[Sequence[Sequence[str]]],
-                      temperature: float) -> Tensor:
+                      extra_ids: Optional[Sequence[Sequence[str]]]) -> Tensor:
     positives = [by_id[q.gt_positive_id] for q in queries]
     extras = [list(e) for e in extra_ids] if extra_ids is not None else None
     flat_extra = [by_id[cid] for e in (extras or []) for cid in e]
@@ -282,8 +282,7 @@ def _contrastive_step(model: Model, queries: Sequence[MultimodalExample],
                                  if e else Tensor(np.zeros((0, model.cfg.embed_dim))))
             off += len(e)
     cb = ContrastiveBatch(queries=q_emb, positives=p_emb,
-                          extra_negatives=extra_tensors,
-                          temperature=temperature, in_batch_negatives=True)
+                          extra_negatives=extra_tensors, in_batch_negatives=True)
     return info_nce(cb)
 
 
@@ -300,8 +299,7 @@ def _contrastive_stage(model: Model, candidates: Sequence[MultimodalExample],
     def loss_at(step, rng):
         idx = rng.choice(len(train_q), size=min(plan.batch_size, len(train_q)), replace=False)
         batch_q = [train_q[i] for i in idx]
-        return _contrastive_step(model, batch_q, by_id, extras_for(step, batch_q),
-                                 plan.temperature)
+        return _contrastive_step(model, batch_q, by_id, extras_for(step, batch_q))
     return _train_loop(model, plan, plan.steps, loss_at, t0)
 
 
@@ -320,18 +318,22 @@ def mine_all(model: Model, candidates: Sequence[MultimodalExample],
     """Mine hard negatives for every query with the current model, once.
 
     Mining is frozen at the checkpoint that enters this phase; training
-    steps never re-mine.
+    steps never re-mine. A corpus too small for the window is logged once
+    per pass.
     """
     index = CandidateIndex.build(model.embed_many(candidates))
     qembs = model.embed_many(list(queries))
-    mined: Dict[str, List[str]] = {}
-    for i, (q, e) in enumerate(zip(queries, qembs)):
-        rec = mine_from_index(q.example_id, e.vector, index, q.gt_positive_id,
-                              n=plan.mine_count, window=plan.mine_window,
-                              seed=int(np.random.SeedSequence(
-                                  [plan.seed, 13, i]).generate_state(1)[0]))
-        mined[q.example_id] = rec.negative_ids
-    return mined
+    recs = [mine_from_index(q.example_id, e.vector, index, q.gt_positive_id,
+                            n=plan.mine_count, window=plan.mine_window,
+                            seed=int(np.random.SeedSequence(
+                                [plan.seed, 13, i]).generate_state(1)[0]))
+            for i, (q, e) in enumerate(zip(queries, qembs))]
+    shrunk = [r.window for r in recs if r.shrunk]
+    if shrunk:
+        logger.warning("mining window %s shrunk to %s for %d of %d queries "
+                       "(%d candidates)", plan.mine_window, sorted(set(shrunk)),
+                       len(shrunk), len(recs), len(index))
+    return {r.query_id: r.negative_ids for r in recs}
 
 
 def run_global_hnm(model: Model, candidates: Sequence[MultimodalExample],

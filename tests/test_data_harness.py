@@ -1,11 +1,16 @@
 """Synthetic corpus generation, persistence, experiment config, and the CLI
 exit-code contract."""
 
+import ast
+import importlib
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vtembed.autograd as autograd
 import vtembed.experiment as experiment
 from vtembed.cli import cli
 from vtembed.data import (
@@ -22,13 +27,14 @@ from vtembed.experiment import (
     ExperimentConfig,
     ExperimentConfigError,
     SeedRun,
+    TrainSettings,
     load_config,
     report_csv,
     report_markdown,
     run_experiment,
 )
 from vtembed.model import Model, ModelConfig
-from vtembed.trainer import StagePlan, mine_all
+from vtembed.trainer import StagePlan, mine_all, run_stage1
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +178,15 @@ class TestExperimentConfig:
         a, b = ExperimentConfig(), ExperimentConfig(seeds=[9])
         assert a.config_hash() != b.config_hash()
 
+    @pytest.mark.parametrize("section, key", [
+        ("model", "hidden_dim"), ("data", "classes"), ("train", "temperature"),
+        ("train", "judge_k"), ("train", "reranker_epochs")])
+    def test_unknown_section_key_rejected(self, tmp_path, section, key):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({section: {key: 1}}))
+        with pytest.raises(ExperimentConfigError, match=f"unknown {section} key.*{key}"):
+            load_config(p)
+
     def test_future_schema_rejected(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"schema_version": 99}))
@@ -243,7 +258,8 @@ class TestCLIContract:
                   "--corpus", str(data_dir / "corpus.jsonl"),
                   "--out", str(root / "bad.ckpt")])
         assert rc == 2
-        assert "warmup" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: StageOrderError: ") and "warmup" in err
 
     def test_train_and_eval_chain(self, cli_workspace, capsys):
         root, cfg_path, data_dir = cli_workspace
@@ -376,3 +392,52 @@ def test_cli_smoke_every_readme_command(cli_workspace, capsys):
         assert [r["config"] for r in report["rows"]] == configs
         for name in ("report.md", "report.csv", "manifest.json"):
             assert (ws / preset / name).exists()
+
+
+def test_trained_reranker_starts_from_the_restore_state(cfg, monkeypatch):
+    """table4 with the trained reranker hands `run_reranker` the restore
+    checkpoint, and its reranker trace is finite and repeatable."""
+    exp = ExperimentConfig(seeds=[3], model=cfg,
+                           data=SyntheticTaskSpec(task_class="T2I", num_classes=3,
+                                                  corpus_size=24, queries_per_class=5),
+                           train=TrainSettings(stage1_steps=3, warmup_steps=2, hnm_steps=2,
+                                               stage3_steps=2, reranker="trained"))
+    received = []
+    real = experiment.run_reranker
+
+    def capture(model, *args):
+        received.append({k: v.data.copy() for k, v in model.params.items()})
+        return real(model, *args)
+    monkeypatch.setattr(experiment, "run_reranker", capture)
+    runs = [experiment.run_seed_pipeline(exp, 3) for _ in range(2)]
+
+    mcfg = replace(cfg, seed=3)
+    candidates, _, _ = generate_corpus(replace(exp.data, seed=3), mcfg)
+    restored = Model(mcfg)
+    run_stage1(restored, instruction_pairs(candidates, 3, mcfg.vocab_size),
+               StagePlan(stage="restore", steps=3, batch_size=exp.train.batch_size,
+                         peak_lr=exp.train.peak_lr, seed=3))
+    assert len(received) == 2
+    for params in received:
+        assert params.keys() == restored.params.keys()
+        assert all(np.array_equal(params[k], restored.params[k].data) for k in params)
+    traces = [r.loss_traces["reranker"] for r in runs]
+    assert traces[0] and traces[0] == traces[1] and np.isfinite(traces[0]).all()
+
+
+def test_traced_names_resolve():
+    """Every name the benchmark's tracer wraps still exists in vtembed, so
+    a deletion fails here rather than in a traced benchmark run."""
+    tree = ast.parse((Path(__file__).resolve().parents[1]
+                      / "perfbench" / "tracing.py").read_text())
+    names = {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
+             if isinstance(node, ast.Assign) and len(node.targets) == 1
+             and getattr(node.targets[0], "id", None) in ("FUNCTIONS", "MODEL_METHODS", "OPS")}
+    assert set(names) == {"FUNCTIONS", "MODEL_METHODS", "OPS"}
+    missing = [f"{mod}.{fn}" for mod, fn in names["FUNCTIONS"]
+               if not callable(getattr(importlib.import_module(f"vtembed.{mod}"), fn, None))]
+    missing += [f"Model.{m}" for m in names["MODEL_METHODS"]
+                if not callable(getattr(Model, m, None))]
+    missing += [f"autograd.{op}" for op in names["OPS"]
+                if not callable(getattr(autograd, op, None))]
+    assert not missing

@@ -79,8 +79,8 @@ class TestSearch:
 
     def test_build_from_embeddings(self, rng):
         embs = [Embedding(source_id=f"e{i}", vector=_unit(rng)) for i in range(3)]
-        idx = CandidateIndex.build(embs, corpus_hash="h")
-        assert idx.ids == ["e0", "e1", "e2"] and idx.corpus_hash == "h"
+        idx = CandidateIndex.build(embs)
+        assert idx.ids == ["e0", "e1", "e2"]
 
 
 class TestRerank:

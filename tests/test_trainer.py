@@ -1,6 +1,7 @@
 """Optimizer math, stage ordering, determinism, and training dynamics."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -212,6 +213,17 @@ class TestTrainingRuns:
         for q in queries:
             assert len(mined_a[q.example_id]) == plan.mine_count
             assert q.gt_positive_id not in mined_a[q.example_id]
+
+    def test_mining_logs_one_shrink_summary_per_pass(self, small_cfg, small_corpus,
+                                                     caplog):
+        candidates, queries, _ = small_corpus  # 24 candidates, window (50, 100)
+        m = Model(small_cfg)
+        with caplog.at_level(logging.WARNING, logger="vtembed"):
+            for _ in range(2):
+                mine_all(m, candidates, queries, self._plan("global_hnm"))
+        msgs = [r.getMessage() for r in caplog.records]
+        assert len(msgs) == 2
+        assert f"shrunk to [(22, 23)] for {len(queries)} of {len(queries)}" in msgs[0]
 
     def test_hnm_accepts_precomputed_mined(self, small_cfg, small_corpus):
         candidates, queries, _ = small_corpus
