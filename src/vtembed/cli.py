@@ -13,8 +13,6 @@ import numpy as np
 
 from .curation import (
     DEFAULT_JUDGE_K,
-    DEFAULT_MINE_COUNT,
-    DEFAULT_MINE_WINDOW,
     AlwaysIrrelevantJudge,
     ClassOracleJudge,
     ModelJudge,
@@ -138,7 +136,7 @@ def cmd_train(args) -> int:
         model = Model(_seeded(_config(args).model, args))
     plan = StagePlan(stage=stage, steps=args.steps, batch_size=args.batch_size,
                      peak_lr=args.lr, seed=args.seed or 0, n_hard=args.n_hard,
-                     epochs=args.epochs, output_checkpoint=args.out)
+                     output_checkpoint=args.out)
     if stage == "restore":
         pairs = instruction_pairs(candidates, args.seed or 0, model.cfg.vocab_size)
         report = run_stage1(model, pairs, plan)
@@ -166,13 +164,12 @@ def cmd_mine(args) -> int:
     examples = load_corpus(args.corpus)
     candidates, queries = split_roles(examples)
     model = Model.load(args.ckpt)
-    plan = StagePlan(stage="global_hnm", seed=args.seed or 0, mine_count=args.n,
-                     mine_window=tuple(args.window))
+    plan = StagePlan(stage="global_hnm", seed=args.seed or 0)
     mined = mine_all(model, candidates, [q for q in queries if q.split == "train"], plan)
     with open(args.out, "w") as f:
         for qid, negative_ids in mined.items():
             f.write(json.dumps({"query_id": qid, "negative_ids": negative_ids}) + "\n")
-    _side_manifest(args, "mine", ckpt=args.ckpt, n=args.n, window=list(args.window))
+    _side_manifest(args, "mine", ckpt=args.ckpt)
     print(f"mined negatives for {len(mined)} queries -> {args.out}")
     return EXIT_OK
 
@@ -211,12 +208,10 @@ def cmd_eval(args) -> int:
     candidates, queries = split_roles(examples)
     qrels = load_qrels(args.qrels)
     eval_q = [q for q in queries if q.split == "eval"] or queries
-    model = Model.load(args.ckpt)
+    results = embed_results(Model.load(args.ckpt), candidates, eval_q)
     if args.command == "rerank-eval":
         reranker = Model.load(args.reranker_ckpt) if args.reranker_ckpt else None
-        results = two_stage_results(model, candidates, eval_q, qrels, reranker)
-    else:
-        results = embed_results(model, candidates, eval_q)
+        results = two_stage_results(results, candidates, eval_q, qrels, reranker)
     if args.out:
         save_results(args.out, results)
         _side_manifest(args, args.command, ckpt=args.ckpt,
@@ -266,28 +261,29 @@ def cmd_experiment(args) -> int:
     return EXIT_OK
 
 
+# The flags several subcommands share; each subcommand takes only those it reads.
+_SHARED_FLAGS = {"--seed": {"type": int, "default": None}, "--config": {"default": None},
+                 "--out": {"default": None}, "--corpus": {"required": True},
+                 "--qrels": {"required": True}, "--ckpt": {"required": True}}
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="vtembed", description="Compressed multimodal embedding pipeline")
     plan = StagePlan(stage="restore")  # source of the train defaults
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, corpus=False, ckpt=False, qrels=False):
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--config", default=None)
-        sp.add_argument("--out", default=None)
-        if corpus:
-            sp.add_argument("--corpus", required=True)
-        if ckpt:
-            sp.add_argument("--ckpt", default=None)
-        if qrels:
-            sp.add_argument("--qrels", required=True)
+    def command(name, func, help, *flags):
+        sp = sub.add_parser(name, help=help)
+        for flag in flags:
+            sp.add_argument(flag, **_SHARED_FLAGS[flag])
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("gen-data", help="generate a synthetic corpus + qrels")
-    common(sp)
-    sp.set_defaults(func=cmd_gen_data)
+    command("gen-data", cmd_gen_data, "generate a synthetic corpus + qrels",
+            "--seed", "--config", "--out")
 
-    sp = sub.add_parser("train", help="run one training stage")
-    common(sp, corpus=True)
+    sp = command("train", cmd_train, "run one training stage",
+                 "--seed", "--config", "--out", "--corpus")
     sp.add_argument("--stage", required=True, choices=STAGES)
     sp.add_argument("--in-ckpt", default=None)
     sp.add_argument("--curated", default=None)
@@ -295,49 +291,37 @@ def build_parser() -> _Parser:
     sp.add_argument("--batch-size", type=int, default=plan.batch_size)
     sp.add_argument("--lr", type=float, default=plan.peak_lr)
     sp.add_argument("--n-hard", type=int, default=plan.n_hard)
-    sp.add_argument("--epochs", type=int, default=plan.epochs)
-    sp.set_defaults(func=cmd_train)
 
-    sp = sub.add_parser("mine", help="global hard negative mining")
-    common(sp, corpus=True, ckpt=True)
-    sp.add_argument("--n", type=int, default=DEFAULT_MINE_COUNT)
-    sp.add_argument("--window", type=int, nargs=2, default=list(DEFAULT_MINE_WINDOW))
-    sp.set_defaults(func=cmd_mine)
+    command("mine", cmd_mine, "global hard negative mining",
+            "--seed", "--out", "--corpus", "--ckpt")
 
-    for name, fn in (("judge", cmd_judge), ("curate", cmd_curate)):
-        sp = sub.add_parser(name, help=f"{name} retrieved candidates")
-        common(sp, corpus=True, ckpt=True)
+    for name, fn, out in (("judge", cmd_judge, ()), ("curate", cmd_curate, ("--out",))):
+        sp = command(name, fn, f"{name} retrieved candidates",
+                     "--seed", "--config", "--corpus", *out)
+        sp.add_argument("--ckpt", default=None)  # default: a fresh model embeds
         sp.add_argument("--judge", default="oracle", choices=["oracle", "rule", "model"])
         sp.add_argument("--noise", type=float, default=0.0)
         sp.add_argument("--k", type=int, default=DEFAULT_JUDGE_K)
         sp.add_argument("--template", default="T2I")
         if name == "judge":
             sp.add_argument("--query-id", default=None)
-        sp.set_defaults(func=fn)
 
-    sp = sub.add_parser("eval", help="embed-only retrieval evaluation")
-    common(sp, corpus=True, qrels=True)
-    sp.add_argument("--ckpt", required=True)
-    sp.set_defaults(func=cmd_eval)
-
-    sp = sub.add_parser("rerank-eval", help="two-stage retrieval evaluation")
-    common(sp, corpus=True, qrels=True)
-    sp.add_argument("--ckpt", required=True)
+    command("eval", cmd_eval, "embed-only retrieval evaluation",
+            "--out", "--corpus", "--qrels", "--ckpt")
+    sp = command("rerank-eval", cmd_eval, "two-stage retrieval evaluation",
+                 "--out", "--corpus", "--qrels", "--ckpt")
     sp.add_argument("--reranker-ckpt", default=None)
-    sp.set_defaults(func=cmd_eval)
 
-    sp = sub.add_parser("profile", help="token budgets and encode latency")
-    common(sp)
+    sp = command("profile", cmd_profile, "token budgets and encode latency",
+                 "--seed", "--config", "--out")
     sp.add_argument("--factors", default="1,2")
     sp.add_argument("--grid", type=int, default=16)
     sp.add_argument("--trials", type=int, default=5)
-    sp.set_defaults(func=cmd_profile)
 
-    sp = sub.add_parser("experiment", help="run an ablation preset")
-    common(sp)
+    sp = command("experiment", cmd_experiment, "run an ablation preset",
+                 "--seed", "--config", "--out")
     sp.add_argument("--preset", default=None, choices=["table4", "table5"],
                     help="default: the config's preset, else table4")
-    sp.set_defaults(func=cmd_experiment)
     return p
 
 

@@ -171,8 +171,6 @@ def retrieve_and_judge(query: MultimodalExample, corpus_by_id: Dict[str, Multimo
     judge_negative_ids, ties are discarded. The ground-truth positive is
     excluded from both lists; it stays the sole contrastive positive.
     """
-    if k > len(index):
-        raise ValueError(f"k={k} exceeds corpus size {len(index)}")
     ranked = search(index, query_vec, k=k, query_id=query.example_id)
     positives, negatives, verdicts = [], [], []
     failures = 0

@@ -25,6 +25,7 @@ from .curation import (
 from .data import SyntheticTaskSpec, generate_corpus, instruction_pairs
 from .model import Model, ModelConfig, MultimodalExample
 from .retrieval import (
+    DEFAULT_RERANK_K,
     CandidateIndex,
     Qrels,
     RankedResult,
@@ -43,6 +44,8 @@ from .trainer import (
 )
 
 CONFIG_SCHEMA_VERSION = 1
+EVAL_K = 10  # ranking depth of every evaluation
+RERANKERS = ("oracle", "trained")
 
 
 class ExperimentConfigError(ValueError):
@@ -60,7 +63,12 @@ class TrainSettings:
     stage3_lr: float = 1e-3    # gentler fine-tuning on judge hard negatives
     n_hard: int = 12
     judge_noise: float = 0.0
-    reranker: str = "oracle"  # "oracle" | "trained"
+    reranker: str = "oracle"  # one of RERANKERS
+
+    def __post_init__(self):
+        if self.reranker not in RERANKERS:
+            raise ExperimentConfigError(
+                f"unknown reranker {self.reranker!r}, expected one of {RERANKERS}")
 
 
 @dataclass
@@ -125,19 +133,18 @@ def retrieval_metrics(results: Sequence[RankedResult], qrels: Qrels) -> Dict[str
 
 
 def embed_results(model: Model, candidates: Sequence[MultimodalExample],
-                  queries: Sequence[MultimodalExample], k: int = 10
-                  ) -> List[RankedResult]:
+                  queries: Sequence[MultimodalExample]) -> List[RankedResult]:
+    """Embed-only top-EVAL_K ranking of the candidates for each query."""
     index = CandidateIndex.build(model.embed_many(list(candidates)))
     qembs = model.embed_many(list(queries))
-    k = min(k, len(index))
+    k = min(EVAL_K, len(index))
     return [search(index, e.vector, k=k, query_id=q.example_id)
             for q, e in zip(queries, qembs)]
 
 
 def evaluate_embedder(model: Model, candidates: Sequence[MultimodalExample],
-                      queries: Sequence[MultimodalExample], qrels: Qrels,
-                      k: int = 10) -> Dict[str, float]:
-    return retrieval_metrics(embed_results(model, candidates, queries, k=k), qrels)
+                      queries: Sequence[MultimodalExample], qrels: Qrels) -> Dict[str, float]:
+    return retrieval_metrics(embed_results(model, candidates, queries), qrels)
 
 
 def oracle_scorer(query_id: str, qrels: Qrels) -> Callable[[str], float]:
@@ -157,26 +164,26 @@ def model_scorer(reranker: Model, query: MultimodalExample,
     return score
 
 
-def two_stage_results(model: Model, candidates: Sequence[MultimodalExample],
+def two_stage_results(results: Sequence[RankedResult],
+                      candidates: Sequence[MultimodalExample],
                       queries: Sequence[MultimodalExample], qrels: Qrels,
-                      reranker: Optional[Model] = None, k: int = 10,
-                      k_rerank: int = 5) -> List[RankedResult]:
-    """Embed-retrieve then pointwise-rerank the top k_rerank; oracle
-    scorer when no reranker model is given."""
+                      reranker: Optional[Model] = None) -> List[RankedResult]:
+    """Pointwise-rerank the top DEFAULT_RERANK_K of each embed-only result
+    (from `embed_results`); oracle scorer when no reranker model is given."""
     by_id = {c.example_id: c for c in candidates}
-    results = embed_results(model, candidates, queries, k=k)
-    return [rerank_topk(r, model_scorer(reranker, q, by_id) if reranker is not None
-                        else oracle_scorer(q.example_id, qrels),
-                        k_rerank=min(k_rerank, len(r.ids)))
-            for q, r in zip(queries, results)]
+    q_by_id = {q.example_id: q for q in queries}
+    return [rerank_topk(r, model_scorer(reranker, q_by_id[r.query_id], by_id)
+                        if reranker is not None else oracle_scorer(r.query_id, qrels),
+                        k_rerank=min(DEFAULT_RERANK_K, len(r.ids)))
+            for r in results]
 
 
-def evaluate_two_stage(model: Model, candidates: Sequence[MultimodalExample],
+def evaluate_two_stage(results: Sequence[RankedResult],
+                       candidates: Sequence[MultimodalExample],
                        queries: Sequence[MultimodalExample], qrels: Qrels,
-                       reranker: Optional[Model] = None, k: int = 10,
-                       k_rerank: int = 5) -> Dict[str, float]:
-    return retrieval_metrics(two_stage_results(model, candidates, queries, qrels,
-                                               reranker, k=k, k_rerank=k_rerank), qrels)
+                       reranker: Optional[Model] = None) -> Dict[str, float]:
+    return retrieval_metrics(two_stage_results(results, candidates, queries, qrels,
+                                               reranker), qrels)
 
 
 # ---- pipeline per seed ----
@@ -252,13 +259,14 @@ def run_seed_pipeline(cfg: ExperimentConfig, seed: int) -> SeedRun:
     r3 = run_stage3(model, candidates, queries, curated,
                     _plan("judge_ft", tr.stage3_steps, tr, seed, n_hard=tr.n_hard))
     traces["judge_ft"] = r3.loss_trace
-    metrics["judge_ft"] = evaluate_embedder(model, candidates, eval_q, qrels)
+    results = embed_results(model, candidates, eval_q)  # both rows rank this once
+    metrics["judge_ft"] = retrieval_metrics(results, qrels)
     reranker = s.restored if tr.reranker == "trained" else None
     if reranker is not None:
         rr = run_reranker(reranker, candidates, queries, curated,
                           _plan("reranker", 0, tr, seed))
         traces["reranker"] = rr.loss_trace
-    metrics["reranker"] = evaluate_two_stage(model, candidates, eval_q, qrels,
+    metrics["reranker"] = evaluate_two_stage(results, candidates, eval_q, qrels,
                                              reranker=reranker)
     return SeedRun(seed=seed, metrics=metrics, loss_traces=traces)
 

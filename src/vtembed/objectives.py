@@ -131,15 +131,14 @@ def _answer_ce(model: Model, prompt, answer: int) -> Tensor:
 
 
 def pointwise_loss(model: Model, query: MultimodalExample, candidate: MultimodalExample,
-                   label: bool, instruction=()) -> Tensor:
+                   label: bool) -> Tensor:
     """CE pushing the next token toward YES (positive pair) or NO."""
-    prompt = pointwise_prompt(query, candidate, model.cfg, tuple(instruction))
+    prompt = pointwise_prompt(query, candidate, model.cfg)
     return _answer_ce(model, prompt, vocab.YES if label else vocab.NO)
 
 
 def listwise_loss(model: Model, query: MultimodalExample,
-                  candidates: Sequence[MultimodalExample], k: int,
-                  instruction=()) -> Tensor:
+                  candidates: Sequence[MultimodalExample], k: int) -> Tensor:
     """CE pushing the next token toward the digit for the positive's
     1-based position k in the candidate list."""
     m = len(candidates) - 1
@@ -147,7 +146,7 @@ def listwise_loss(model: Model, query: MultimodalExample,
         raise ParameterError(f"listwise list must carry M in [2, 5] negatives, got M={m}")
     if not 1 <= k <= len(candidates):
         raise ParameterError(f"positive position {k} outside 1..{len(candidates)}")
-    prompt = listwise_prompt(query, candidates, model.cfg, tuple(instruction))
+    prompt = listwise_prompt(query, candidates, model.cfg)
     return _answer_ce(model, prompt, vocab.digit_token(k))
 
 

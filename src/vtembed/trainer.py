@@ -11,9 +11,11 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import time
 from dataclasses import dataclass, field, asdict
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +44,7 @@ STAGES = ("restore", "warmup", "global_hnm", "judge_ft", "reranker")
 REQUIRED_PREDECESSOR = {"restore": None, "warmup": "restore",
                         "global_hnm": "warmup", "judge_ft": "global_hnm",
                         "reranker": "restore"}
+RERANKER_EPOCHS = 2
 
 logger = logging.getLogger(__name__)
 
@@ -65,11 +68,10 @@ class StagePlan:
     batch_size: int = 8
     peak_lr: float = 3e-4
     seed: int = 0
-    epochs: int = 2              # reranker only
     n_hard: int = DEFAULT_STAGE3_HARD_NEGATIVES  # judge_ft only
-    mine_count: int = DEFAULT_MINE_COUNT
-    mine_window: Tuple[int, int] = DEFAULT_MINE_WINDOW
     output_checkpoint: Optional[str] = None
+    mine_count: ClassVar[int] = DEFAULT_MINE_COUNT  # global_hnm only
+    mine_window: ClassVar[Tuple[int, int]] = DEFAULT_MINE_WINDOW
 
     def __post_init__(self):
         if self.stage not in STAGES:
@@ -193,9 +195,14 @@ def _train_loop(model: Model, plan: StagePlan, steps: int,
 def _finish(model: Model, plan: StagePlan, trace: List[float], t0: float) -> TrainReport:
     path = plan.output_checkpoint
     if path:
-        model.save(path)
-        with open(str(path) + ".meta.json", "w") as f:
-            json.dump({"stage": plan.stage}, f)
+        # The stage record goes first and comes back last, and each file is
+        # renamed into place whole: a crash leaves no record over a partial file.
+        meta = Path(f"{path}.meta.json")
+        meta.unlink(missing_ok=True)
+        model.save(f"{path}.tmp")
+        os.replace(f"{path}.tmp", path)
+        Path(f"{meta}.tmp").write_text(json.dumps({"stage": plan.stage}))
+        os.replace(f"{meta}.tmp", meta)
     return TrainReport(stage=plan.stage, loss_trace=trace,
                        final_loss=trace[-1] if trace else float("nan"),
                        wall_clock=time.perf_counter() - t0,
@@ -374,7 +381,8 @@ def run_stage3(model: Model, candidates: Sequence[MultimodalExample],
 def run_reranker(model: Model, candidates: Sequence[MultimodalExample],
                  queries: Sequence[MultimodalExample],
                  curated: Sequence[CuratedSample], plan: StagePlan) -> TrainReport:
-    """Joint pointwise + listwise training on the curated set, 2 epochs.
+    """Joint pointwise + listwise training on the curated set for
+    RERANKER_EPOCHS epochs.
 
     Pointwise positives come from the augmented set {ground truth} union
     judge positives; queries with no judge negatives are skipped.
@@ -386,7 +394,7 @@ def run_reranker(model: Model, candidates: Sequence[MultimodalExample],
               if s.judge_negative_ids and s.query_id in q_by_id]
     if not usable:
         raise ValueError("no curated samples with judge negatives to train on")
-    order = [i for epoch in range(plan.epochs)
+    order = [i for epoch in range(RERANKER_EPOCHS)
              for i in _step_rng(plan, 100000 + epoch).permutation(len(usable))]
 
     def loss_at(step, rng):

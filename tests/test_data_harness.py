@@ -3,6 +3,7 @@ exit-code contract."""
 
 import ast
 import importlib
+import inspect
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -11,8 +12,12 @@ import numpy as np
 import pytest
 
 import vtembed.autograd as autograd
+import vtembed.curation as curation
 import vtembed.experiment as experiment
+import vtembed.profiler as profiler
+import vtembed.retrieval as retrieval
 from vtembed.cli import cli
+from vtembed.curation import DEFAULT_MINE_WINDOW
 from vtembed.data import (
     CorpusFormatError,
     SyntheticTaskSpec,
@@ -33,7 +38,7 @@ from vtembed.experiment import (
     report_markdown,
     run_experiment,
 )
-from vtembed.model import Model, ModelConfig
+from vtembed.model import Model, ModelConfig, with_compression
 from vtembed.trainer import StagePlan, mine_all, run_stage1
 
 
@@ -187,6 +192,14 @@ class TestExperimentConfig:
         with pytest.raises(ExperimentConfigError, match=f"unknown {section} key.*{key}"):
             load_config(p)
 
+    def test_unknown_reranker_rejected(self, tmp_path, capsys):
+        with pytest.raises(ExperimentConfigError, match="'trainde'"):
+            ExperimentConfig.from_dict({"train": {"reranker": "trainde"}})
+        p = tmp_path / "typo.json"
+        p.write_text(json.dumps({"train": {"reranker": "trainde"}}))
+        assert cli(["experiment", "--config", str(p)]) == 2
+        assert "ExperimentConfigError" in capsys.readouterr().err
+
     def test_future_schema_rejected(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"schema_version": 99}))
@@ -234,6 +247,25 @@ def cli_workspace(tmp_path_factory):
     return root, cfg_path, data_dir
 
 
+# Each command with one flag it does not read (the last case lacks the
+# required --ckpt); argparse must reject each with exit 1.
+_UNREAD_FLAGS = [
+    (["train", "--stage", "warmup", "--corpus", "c.jsonl", "--epochs", "1"], "--epochs"),
+    (["mine", "--corpus", "c.jsonl", "--ckpt", "m", "--n", "2"], "--n"),
+    (["mine", "--corpus", "c.jsonl", "--ckpt", "m", "--window", "5", "9"], "--window"),
+    (["mine", "--corpus", "c.jsonl", "--ckpt", "m", "--config", "x.json"], "--config"),
+    (["eval", "--corpus", "c.jsonl", "--qrels", "q", "--ckpt", "m", "--seed", "0"], "--seed"),
+    (["eval", "--corpus", "c.jsonl", "--qrels", "q", "--ckpt", "m", "--config", "x"],
+     "--config"),
+    (["rerank-eval", "--corpus", "c.jsonl", "--qrels", "q", "--ckpt", "m", "--seed", "0"],
+     "--seed"),
+    (["rerank-eval", "--corpus", "c.jsonl", "--qrels", "q", "--ckpt", "m", "--config", "x"],
+     "--config"),
+    (["judge", "--corpus", "c.jsonl", "--out", "v.tsv"], "--out"),
+    (["mine", "--corpus", "c.jsonl", "--out", "m.jsonl"], "--ckpt"),
+]
+
+
 class TestCLIContract:
     def test_gen_data_outputs_and_manifest(self, cli_workspace):
         _, _, data_dir = cli_workspace
@@ -272,7 +304,7 @@ class TestCLIContract:
         manifest = json.loads((root / "restore.ckpt.manifest.json").read_text())
         assert manifest["command"] == "train" and "corpus_hash" in manifest
         assert (root / "restore.ckpt.trace.csv").exists()
-        rc = cli(["eval", "--seed", "0", "--corpus", corpus,
+        rc = cli(["eval", "--corpus", corpus,
                   "--qrels", str(data_dir / "qrels.tsv"),
                   "--ckpt", str(restore), "--out", str(root / "run.tsv")])
         assert rc == 0
@@ -280,6 +312,12 @@ class TestCLIContract:
         metrics = json.loads(out.strip().splitlines()[-1])
         assert 0.0 <= metrics["p_at_1"] <= 1.0
         assert (root / "run.tsv").exists()
+
+    @pytest.mark.parametrize("argv, flag", _UNREAD_FLAGS,
+                             ids=[f"{argv[0]}{flag}" for argv, flag in _UNREAD_FLAGS])
+    def test_flags_a_command_does_not_read_exit_1(self, argv, flag, capsys):
+        assert cli(argv) == 1
+        assert flag in capsys.readouterr().err
 
     def test_runtime_failure_missing_file_exits_2(self, capsys):
         rc = cli(["eval", "--corpus", "/nonexistent/c.jsonl",
@@ -352,7 +390,7 @@ def test_cli_smoke_every_readme_command(cli_workspace, capsys):
     train("judge_ft", "final.ckpt", "--in-ckpt", ws / "hnm.ckpt",
           "--curated", ws / "curated.jsonl")
     train("reranker", "reranker.ckpt", "--in-ckpt", ws / "restore.ckpt",
-          "--curated", ws / "curated.jsonl", "--epochs", "1")
+          "--curated", ws / "curated.jsonl")
 
     for cmd, extra, stage in (("eval", [], "embed_only"),
                               ("rerank-eval", ["--reranker-ckpt", ws / "reranker.ckpt"],
@@ -441,3 +479,66 @@ def test_traced_names_resolve():
     missing += [f"autograd.{op}" for op in names["OPS"]
                 if not callable(getattr(autograd, op, None))]
     assert not missing
+
+
+@pytest.mark.parametrize("reranker", ["oracle", "trained"])
+def test_seed_pipeline_encodes_the_corpus_once_per_evaluated_state(cfg, monkeypatch,
+                                                                   reranker):
+    """Warmup mining, warmup eval, HNM eval, curation and one judge-FT
+    ranking that both the +judge-FT and +reranker rows read: 5 encodes."""
+    exp = ExperimentConfig(seeds=[0], model=cfg,
+                           data=SyntheticTaskSpec(task_class="T2I", num_classes=3,
+                                                  corpus_size=24, queries_per_class=5),
+                           train=TrainSettings(stage1_steps=1, warmup_steps=1, hnm_steps=1,
+                                               stage3_steps=1, reranker=reranker))
+    candidates, _, _ = generate_corpus(replace(exp.data, seed=0), cfg)
+    corpus_ids = [c.example_id for c in candidates]
+    encodes = []
+    real = Model.embed_many
+
+    def counting(self, examples, *args, **kwargs):
+        examples = list(examples)
+        encodes.append([e.example_id for e in examples] == corpus_ids)
+        return real(self, examples, *args, **kwargs)
+    monkeypatch.setattr(Model, "embed_many", counting)
+    run = experiment.run_seed_pipeline(exp, 0)
+    assert set(run.metrics) == set(STAGE_LABELS)
+    assert sum(encodes) == 5
+
+
+# (callable, positional argument count, keywords) of each call shape in
+# perfbench/workloads.py
+_BENCHMARK_CALLS = [
+    (mine_all, 4, ()),
+    (curation.curate_all, 4, ("template_id", "k")),
+    (retrieval.search, 2, ("k", "query_id")),
+    (retrieval.rerank_topk, 2, ("k_rerank",)),
+    (experiment.model_scorer, 3, ()),
+    (run_experiment, 1, ()),
+    (profiler.measure_encode, 2, ("trials", "label")),
+    (profiler.token_budget, 1, ("has_image",)),
+    (TrainSettings, 0, ("stage1_steps", "warmup_steps", "hnm_steps", "stage3_steps",
+                        "peak_lr", "stage3_lr")),
+    (ExperimentConfig, 0, ("preset", "seeds", "model", "data", "train")),
+    (StagePlan, 0, ("stage", "seed")),
+    (ModelConfig, 0, ("patch_h", "patch_w", "max_seq_len", "seed")),
+    (SyntheticTaskSpec, 0, ("task_class", "num_classes", "corpus_size",
+                            "queries_per_class", "seed")),
+    (generate_corpus, 2, ()),
+    (with_compression, 2, ()),
+    (curation.ClassOracleJudge, 0, ("seed",)),
+]
+
+
+@pytest.mark.parametrize("fn, args, kwargs", _BENCHMARK_CALLS,
+                         ids=[fn.__name__ for fn, _, _ in _BENCHMARK_CALLS])
+def test_benchmark_call_shapes_bind(fn, args, kwargs):
+    """Each call shape `perfbench/workloads.py` uses still binds, so a
+    signature change fails here rather than in a benchmark run."""
+    inspect.signature(fn).bind(*[None] * args, **dict.fromkeys(kwargs))
+
+
+def test_benchmark_reads_of_library_defaults():
+    assert StagePlan(stage="global_hnm", seed=0).mine_window == DEFAULT_MINE_WINDOW
+    batch = inspect.signature(Model.embed_many).parameters["batch_size"].default
+    assert isinstance(batch, int) and batch > 0

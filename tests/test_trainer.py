@@ -194,6 +194,25 @@ class TestTrainingRuns:
         assert meta == {"stage": "warmup"}
         load_stage_checkpoint(out, "warmup")
 
+    def test_crashed_rewrite_leaves_no_loadable_partial(self, small_cfg, small_corpus,
+                                                        tmp_path, monkeypatch):
+        candidates, queries, _ = small_corpus
+        out = tmp_path / "w.ckpt"
+        plan = self._plan("warmup", steps=1, output_checkpoint=str(out))
+        run_warmup(Model(small_cfg), candidates, queries, plan)
+        finished = out.read_bytes()
+
+        def crash(model, path):
+            with open(path, "wb") as f:
+                f.write(finished[:16])
+            raise OSError("disk gone")
+        monkeypatch.setattr(Model, "save", crash)
+        with pytest.raises(OSError, match="disk gone"):
+            run_warmup(Model(small_cfg), candidates, queries, plan)
+        assert out.read_bytes() == finished
+        with pytest.raises(StageOrderError, match="metadata"):
+            load_stage_checkpoint(out, "warmup")
+
     def test_seed_changes_trace(self, small_cfg, small_corpus):
         candidates, queries, _ = small_corpus
         a = run_warmup(Model(small_cfg), candidates, queries, self._plan("warmup"))
@@ -252,7 +271,7 @@ class TestTrainingRuns:
         empty = [CuratedSample(q.example_id, q.gt_positive_id) for q in queries]
         with pytest.raises(ValueError, match="judge negatives"):
             run_reranker(Model(small_cfg), candidates, queries, empty,
-                         self._plan("reranker", steps=1, epochs=1))
+                         self._plan("reranker", steps=1))
 
     def test_reranker_two_epochs_cover_each_sample(self, small_cfg, small_corpus):
         from vtembed.curation import CuratedSample
@@ -262,7 +281,7 @@ class TestTrainingRuns:
                                  judge_negative_ids=[c for c in cand_ids[:8]
                                                      if c != q.gt_positive_id])
                    for q in queries[:3]]
-        plan = self._plan("reranker", steps=1, epochs=2)
+        plan = self._plan("reranker", steps=1)
         r = run_reranker(Model(small_cfg), candidates, queries, curated, plan)
         assert len(r.loss_trace) == 2 * 3  # epochs x usable samples
 
