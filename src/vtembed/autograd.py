@@ -4,6 +4,12 @@ Everything downstream (the toy transformer, all four losses, the visual
 token compression operator) is built from the ops in this module. Scalars
 and arrays are stored as float64 throughout; desk scale makes memory a
 non-issue and it keeps the oracle tolerances tight.
+
+Op contract: an op computes its output value and states one VJP per
+input, a function from the output's gradient to that input's gradient,
+and hands the value, its inputs and their VJPs to `_node`. `_node` alone
+wires the backward pass: it skips inputs that need no gradient, sums
+broadcast dimensions away and accumulates into each input's `.grad`.
 """
 
 from __future__ import annotations
@@ -33,8 +39,6 @@ def _as_array(x) -> np.ndarray:
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum grad down to `shape`, undoing numpy broadcasting."""
-    if grad.shape == shape:
-        return grad
     # sum away leading dims
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
@@ -105,35 +109,6 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    # ---- arithmetic ----
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, power(other, -1.0))
-        return mul(self, 1.0 / float(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -146,70 +121,52 @@ def constant(x) -> Tensor:
     return Tensor(x, requires_grad=False)
 
 
+def _same(g):
+    return g
+
+
+def _node(value, parents: tuple, vjps: tuple) -> Tensor:
+    """The output node of one op: `value`, its input tensors `parents`, and
+    one VJP per parent, where `vjp(g)` maps the output gradient to that
+    parent's gradient (before any broadcast dimensions are summed away)."""
+
+    def backward(g):
+        for parent, vjp in zip(parents, vjps):
+            if parent.requires_grad:
+                gp = vjp(g)
+                if gp.shape != parent.shape:
+                    gp = _unbroadcast(gp, parent.shape)
+                parent._accum(gp)
+
+    return Tensor(value, False, parents, backward)
+
+
 # ---- elementwise ops ----
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data + b.data, parents=(a, b))
-
-    def bw(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(g, b.shape))
-
-    out._backward = bw
-    return out
+    return _node(a.data + b.data, (a, b), (_same, _same))
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data * b.data, parents=(a, b))
-
-    def bw(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(g * a.data, b.shape))
-
-    out._backward = bw
-    return out
+    return _node(a.data * b.data, (a, b), (lambda g: g * b.data, lambda g: g * a.data))
 
 
 def power(a, p: float) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.data ** p, parents=(a,))
-
-    def bw(g):
-        if a.requires_grad:
-            a._accum(g * p * a.data ** (p - 1.0))
-
-    out._backward = bw
-    return out
+    return _node(a.data ** p, (a,), (lambda g: g * p * a.data ** (p - 1.0),))
 
 
 def exp(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.exp(a.data), parents=(a,))
-
-    def bw(g):
-        if a.requires_grad:
-            a._accum(g * out.data)
-
-    out._backward = bw
-    return out
+    e = np.exp(a.data)
+    return _node(e, (a,), (lambda g: g * e,))
 
 
 def log(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.log(a.data), parents=(a,))
-
-    def bw(g):
-        if a.requires_grad:
-            a._accum(g / a.data)
-
-    out._backward = bw
-    return out
+    return _node(np.log(a.data), (a,), (lambda g: g / a.data,))
 
 
 def gelu(a) -> Tensor:
@@ -218,78 +175,42 @@ def gelu(a) -> Tensor:
     c = np.sqrt(2.0 / np.pi)
     inner = c * (a.data + 0.044715 * a.data ** 3)
     t = np.tanh(inner)
-    out = Tensor(0.5 * a.data * (1.0 + t), parents=(a,))
 
-    def bw(g):
-        if a.requires_grad:
-            dinner = c * (1.0 + 3 * 0.044715 * a.data ** 2)
-            da = 0.5 * (1.0 + t) + 0.5 * a.data * (1.0 - t ** 2) * dinner
-            a._accum(g * da)
-
-    out._backward = bw
-    return out
+    def vjp(g):
+        dinner = c * (1.0 + 3 * 0.044715 * a.data ** 2)
+        return g * (0.5 * (1.0 + t) + 0.5 * a.data * (1.0 - t ** 2) * dinner)
+    return _node(0.5 * a.data * (1.0 + t), (a,), (vjp,))
 
 
 # ---- shape ops ----
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.data.reshape(shape), parents=(a,))
-
-    def bw(g):
-        if a.requires_grad:
-            a._accum(g.reshape(a.shape))
-
-    out._backward = bw
-    return out
+    return _node(a.data.reshape(shape), (a,), (lambda g: g.reshape(a.shape),))
 
 
 def transpose(a, axes) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.data.transpose(axes), parents=(a,))
     inv = np.argsort(axes)
-
-    def bw(g):
-        if a.requires_grad:
-            a._accum(g.transpose(inv))
-
-    out._backward = bw
-    return out
+    return _node(a.data.transpose(axes), (a,), (lambda g: g.transpose(inv),))
 
 
 def concat(tensors, axis=0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis),
-                 parents=tuple(tensors))
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def bw(g):
-        parts = np.split(g, splits, axis=axis)
-        for t, part in zip(tensors, parts):
-            if t.requires_grad:
-                t._accum(part)
-
-    out._backward = bw
-    return out
+    value = np.concatenate([t.data for t in tensors], axis=axis)
+    lead = (slice(None),) * (axis % value.ndim)
+    ends = np.cumsum([t.shape[axis] for t in tensors])
+    return _node(value, tuple(tensors),
+                 tuple([lambda g, part=lead + (slice(end - t.shape[axis], end),): g[part]
+                        for t, end in zip(tensors, ends)]))
 
 
 def sum_(a, axis=None, keepdims=False) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims), parents=(a,))
-
-    def bw(g):
-        if not a.requires_grad:
-            return
-        if axis is None:
-            a._accum(np.broadcast_to(g, a.shape).copy())
-            return
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        a._accum(np.broadcast_to(g, a.shape).copy())
-
-    out._backward = bw
-    return out
+    expand = axis is not None and not keepdims
+    return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,),
+                 (lambda g: np.broadcast_to(np.expand_dims(g, axis) if expand else g,
+                                            a.shape).copy(),))
 
 
 def mean(a, axis=None, keepdims=False) -> Tensor:
@@ -302,16 +223,12 @@ def take_rows(table: Tensor, indices) -> Tensor:
     """Row gather along axis 0 (embedding lookup)."""
     table = as_tensor(table)
     idx = np.asarray(indices)
-    out = Tensor(table.data[idx], parents=(table,))
 
-    def bw(g):
-        if table.requires_grad:
-            acc = np.zeros_like(table.data)
-            np.add.at(acc, idx.ravel(), g.reshape(-1, *table.shape[1:]))
-            table._accum(acc)
-
-    out._backward = bw
-    return out
+    def vjp(g):
+        acc = np.zeros_like(table.data)
+        np.add.at(acc, idx.ravel(), g.reshape(-1, *table.shape[1:]))
+        return acc
+    return _node(table.data[idx], (table,), (vjp,))
 
 
 def index_select_last(x: Tensor, idx) -> Tensor:
@@ -319,33 +236,24 @@ def index_select_last(x: Tensor, idx) -> Tensor:
     x = as_tensor(x)
     idx = np.asarray(idx)
     b = np.arange(x.shape[0])
-    out = Tensor(x.data[b, idx], parents=(x,))
 
-    def bw(g):
-        if x.requires_grad:
-            acc = np.zeros_like(x.data)
-            acc[b, idx] = g
-            x._accum(acc)
-
-    out._backward = bw
-    return out
+    def vjp(g):
+        acc = np.zeros_like(x.data)
+        acc[b, idx] = g
+        return acc
+    return _node(x.data[b, idx], (x,), (vjp,))
 
 
 def gather_last(x: Tensor, idx) -> Tensor:
     """Gather along the last axis: x [..., n], idx [...] -> [...]."""
     x = as_tensor(x)
     idx = np.asarray(idx)
-    out_data = np.take_along_axis(x.data, idx[..., None], axis=-1)[..., 0]
-    out = Tensor(out_data, parents=(x,))
 
-    def bw(g):
-        if x.requires_grad:
-            acc = np.zeros_like(x.data)
-            np.put_along_axis(acc, idx[..., None], g[..., None], axis=-1)
-            x._accum(acc)
-
-    out._backward = bw
-    return out
+    def vjp(g):
+        acc = np.zeros_like(x.data)
+        np.put_along_axis(acc, idx[..., None], g[..., None], axis=-1)
+        return acc
+    return _node(np.take_along_axis(x.data, idx[..., None], axis=-1)[..., 0], (x,), (vjp,))
 
 
 def masked_scatter(base: Tensor, mask: np.ndarray, values: Tensor) -> Tensor:
@@ -358,18 +266,12 @@ def masked_scatter(base: Tensor, mask: np.ndarray, values: Tensor) -> Tensor:
         raise ShapeError("masked_scatter: mask count does not match value rows")
     data = base.data.copy()
     data[mask] = values.data
-    out = Tensor(data, parents=(base, values))
 
-    def bw(g):
-        if base.requires_grad:
-            gb = g.copy()
-            gb[mask] = 0.0
-            base._accum(gb)
-        if values.requires_grad:
-            values._accum(g[mask])
-
-    out._backward = bw
-    return out
+    def vjp_base(g):
+        gb = g.copy()
+        gb[mask] = 0.0
+        return gb
+    return _node(data, (base, values), (vjp_base, lambda g: g[mask]))
 
 
 # ---- linear algebra ----
@@ -384,18 +286,9 @@ def matmul(a, b) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(
             f"matmul: inner dimensions differ ({a.shape} x {b.shape})")
-    out = Tensor(np.matmul(a.data, b.data), parents=(a, b))
-
-    def bw(g):
-        if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            a._accum(_unbroadcast(ga, a.shape))
-        if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            b._accum(_unbroadcast(gb, b.shape))
-
-    out._backward = bw
-    return out
+    return _node(np.matmul(a.data, b.data), (a, b),
+                 (lambda g: np.matmul(g, np.swapaxes(b.data, -1, -2)),
+                  lambda g: np.matmul(np.swapaxes(a.data, -1, -2), g)))
 
 
 def softmax(x, temperature: float = 1.0) -> Tensor:
@@ -407,30 +300,16 @@ def softmax(x, temperature: float = 1.0) -> Tensor:
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     p = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(p, parents=(x,))
-
-    def bw(g):
-        if x.requires_grad:
-            dot = (g * p).sum(axis=-1, keepdims=True)
-            x._accum(p * (g - dot) / temperature)
-
-    out._backward = bw
-    return out
+    return _node(p, (x,), (lambda g: p * (g - (g * p).sum(axis=-1, keepdims=True)) / temperature,))
 
 
 def log_softmax(x) -> Tensor:
     x = as_tensor(x)
     z = x.data - x.data.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    out = Tensor(z - lse, parents=(x,))
-    p = np.exp(out.data)
-
-    def bw(g):
-        if x.requires_grad:
-            x._accum(g - p * g.sum(axis=-1, keepdims=True))
-
-    out._backward = bw
-    return out
+    value = z - lse
+    p = np.exp(value)
+    return _node(value, (x,), (lambda g: g - p * g.sum(axis=-1, keepdims=True),))
 
 
 def layer_norm_core(x, eps: float = 1e-6) -> Tensor:
@@ -441,16 +320,8 @@ def layer_norm_core(x, eps: float = 1e-6) -> Tensor:
     var = (xc ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     y = xc * inv
-    out = Tensor(y, parents=(x,))
-
-    def bw(g):
-        if x.requires_grad:
-            gx = inv * (g - g.mean(axis=-1, keepdims=True)
-                        - y * (g * y).mean(axis=-1, keepdims=True))
-            x._accum(gx)
-
-    out._backward = bw
-    return out
+    return _node(y, (x,), (lambda g: inv * (g - g.mean(axis=-1, keepdims=True)
+                                            - y * (g * y).mean(axis=-1, keepdims=True)),))
 
 
 def l2_normalize(v: Tensor) -> Tensor:
@@ -460,15 +331,7 @@ def l2_normalize(v: Tensor) -> Tensor:
     if np.any(norm == 0.0):
         raise DegenerateInputError("l2_normalize: zero vector")
     y = v.data / norm
-    out = Tensor(y, parents=(v,))
-
-    def bw(g):
-        if v.requires_grad:
-            dot = (g * y).sum(axis=-1, keepdims=True)
-            v._accum((g - y * dot) / norm)
-
-    out._backward = bw
-    return out
+    return _node(y, (v,), (lambda g: (g - y * (g * y).sum(axis=-1, keepdims=True)) / norm,))
 
 
 # ---- bilinear spatial resampling ----
@@ -532,12 +395,11 @@ def downsample_matrix(h: int, w: int, s: int) -> np.ndarray:
 
 
 def bilinear_downsample(grid: Grid2D, s: int) -> Grid2D:
-    """Reduce a Grid2D's spatial resolution by an integer factor s."""
+    """Reduce a Grid2D's spatial resolution by an integer factor s, through
+    the same operator the model runs (`bilinear_downsample_t`)."""
     h, w, c = grid.values.shape
-    m = downsample_matrix(h, w, s)
-    flat = grid.values.reshape(h * w, c)
-    out = (m @ flat).reshape(h // s, w // s, c)
-    return Grid2D(out)
+    out = bilinear_downsample_t(constant(grid.values.reshape(h * w, c)), h, w, s)
+    return Grid2D(out.data.reshape(h // s, w // s, c))
 
 
 def bilinear_downsample_t(x: Tensor, h: int, w: int, s: int) -> Tensor:

@@ -79,8 +79,6 @@ def _write_manifest(path, payload: dict):
 
 def _side_manifest(args, command: str, **extra):
     """Per-run manifest next to --out: enough to reproduce bit-for-bit."""
-    if not getattr(args, "out", None):
-        return
     payload = {"command": command,
                "seed": getattr(args, "seed", None),
                "config": getattr(args, "config", None), **extra}
@@ -262,8 +260,10 @@ def cmd_experiment(args) -> int:
 
 
 # The flags several subcommands share; each subcommand takes only those it reads.
+# "--out?" is an optional --out, for the commands that also run without one.
 _SHARED_FLAGS = {"--seed": {"type": int, "default": None}, "--config": {"default": None},
-                 "--out": {"default": None}, "--corpus": {"required": True},
+                 "--out": {"required": True}, "--out?": {"default": None},
+                 "--corpus": {"required": True},
                  "--qrels": {"required": True}, "--ckpt": {"required": True}}
 
 
@@ -275,7 +275,7 @@ def build_parser() -> _Parser:
     def command(name, func, help, *flags):
         sp = sub.add_parser(name, help=help)
         for flag in flags:
-            sp.add_argument(flag, **_SHARED_FLAGS[flag])
+            sp.add_argument(flag.rstrip("?"), **_SHARED_FLAGS[flag])
         sp.set_defaults(func=func)
         return sp
 
@@ -307,9 +307,9 @@ def build_parser() -> _Parser:
             sp.add_argument("--query-id", default=None)
 
     command("eval", cmd_eval, "embed-only retrieval evaluation",
-            "--out", "--corpus", "--qrels", "--ckpt")
+            "--out?", "--corpus", "--qrels", "--ckpt")
     sp = command("rerank-eval", cmd_eval, "two-stage retrieval evaluation",
-                 "--out", "--corpus", "--qrels", "--ckpt")
+                 "--out?", "--corpus", "--qrels", "--ckpt")
     sp.add_argument("--reranker-ckpt", default=None)
 
     sp = command("profile", cmd_profile, "token budgets and encode latency",
@@ -319,7 +319,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--trials", type=int, default=5)
 
     sp = command("experiment", cmd_experiment, "run an ablation preset",
-                 "--seed", "--config", "--out")
+                 "--seed", "--config", "--out?")
     sp.add_argument("--preset", default=None, choices=["table4", "table5"],
                     help="default: the config's preset, else table4")
     return p

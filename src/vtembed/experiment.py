@@ -302,7 +302,9 @@ STAGE_LABELS = {"warmup": "warmup", "global_hnm": "+global-HNM",
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     """Execute the configured preset and assemble a consolidated report.
 
-    A seed that raises is recorded under `failures`; the run raises
+    A seed that raises ValueError or RuntimeError (every vtembed error
+    subclasses one of the two) is recorded under `failures`; any other
+    exception is a fault in the program and propagates. The run raises
     ExperimentConfigError when every seed failed.
     """
     runners = {"table4": lambda seed: run_seed_pipeline(cfg, seed),
@@ -314,7 +316,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     for seed in cfg.seeds:
         try:
             done[seed] = runners[cfg.preset](seed)
-        except Exception as exc:  # partial report with failure annotation
+        except (ValueError, RuntimeError) as exc:  # partial report with failure annotation
             failures.append({"seed": seed, "error": f"{type(exc).__name__}: {exc}"})
     if not done:
         raise ExperimentConfigError("all seeds failed: " + json.dumps(failures))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -300,23 +301,39 @@ class Model:
 
     @classmethod
     def load(cls, path) -> "Model":
-        with open(path, "rb") as f:
-            if f.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
-                raise ConfigError(f"{path}: not a model checkpoint")
-            (version,) = struct.unpack("<I", f.read(4))
-            if version != CHECKPOINT_VERSION:
-                raise ConfigError(f"{path}: unsupported checkpoint version {version}")
-            (clen,) = struct.unpack("<I", f.read(4))
-            cfg = ModelConfig.from_dict(json.loads(f.read(clen).decode()))
-            (count,) = struct.unpack("<I", f.read(4))
-            params: Dict[str, Tensor] = {}
-            for _ in range(count):
-                (nlen,) = struct.unpack("<I", f.read(4))
-                name = f.read(nlen).decode()
-                (ndim,) = struct.unpack("<I", f.read(4))
-                shape = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
-                data = np.frombuffer(f.read(8 * int(np.prod(shape))), dtype=np.float64)
-                params[name] = Tensor(data.reshape(shape).copy(), requires_grad=True)
+        """Read a checkpoint written by `save`; a short read, trailing bytes
+        or an unreadable config raise ConfigError naming the path."""
+        buf = Path(path).read_bytes()
+        if buf[:len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+            raise ConfigError(f"{path}: not a model checkpoint")
+        pos = len(CHECKPOINT_MAGIC)
+
+        def take(n: int) -> bytes:
+            nonlocal pos
+            if pos + n > len(buf):
+                raise ConfigError(f"{path}: checkpoint truncated at byte {len(buf)}")
+            pos += n
+            return buf[pos - n:pos]
+
+        def u32(k: int = 1) -> tuple:
+            return struct.unpack(f"<{k}I", take(4 * k))
+
+        (version,) = u32()
+        if version != CHECKPOINT_VERSION:
+            raise ConfigError(f"{path}: unsupported checkpoint version {version}")
+        cfg_bytes = take(u32()[0])
+        try:
+            cfg = ModelConfig.from_dict(json.loads(cfg_bytes.decode()))
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"{path}: unreadable model config: {exc}") from exc
+        params: Dict[str, Tensor] = {}
+        for _ in range(u32()[0]):
+            name = take(u32()[0]).decode()
+            shape = u32(u32()[0])
+            data = np.frombuffer(take(8 * int(np.prod(shape))), dtype=np.float64)
+            params[name] = Tensor(data.reshape(shape).copy(), requires_grad=True)
+        if pos != len(buf):
+            raise ConfigError(f"{path}: {len(buf) - pos} trailing bytes after the checkpoint")
         return cls(cfg, params)
 
     def clone(self) -> "Model":

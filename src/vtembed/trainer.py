@@ -20,7 +20,7 @@ from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import vocab
-from .autograd import Tensor, take_rows
+from .autograd import Tensor, add, take_rows
 from .curation import (
     DEFAULT_MINE_COUNT,
     DEFAULT_MINE_WINDOW,
@@ -403,8 +403,8 @@ def run_reranker(model: Model, candidates: Sequence[MultimodalExample],
         aug_pos = [s.gt_positive_id] + s.judge_positive_ids
         pos_id = aug_pos[int(rng.integers(len(aug_pos)))]
         neg_id = s.judge_negative_ids[int(rng.integers(len(s.judge_negative_ids)))]
-        point = (pointwise_loss(model, query, by_id[pos_id], True)
-                 + pointwise_loss(model, query, by_id[neg_id], False))
+        point = add(pointwise_loss(model, query, by_id[pos_id], True),
+                    pointwise_loss(model, query, by_id[neg_id], False))
         m = int(rng.integers(2, 6))  # M uniform in {2,3,4,5}
         neg_pool = list(s.judge_negative_ids)
         neg_picks = [neg_pool[j] for j in rng.choice(

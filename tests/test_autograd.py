@@ -10,7 +10,9 @@ from vtembed.autograd import (
     ShapeError,
     Tensor,
     add,
+    bilinear_downsample_t,
     concat,
+    constant,
     exp,
     gather_last,
     gelu,
@@ -250,3 +252,106 @@ class TestBackwardMachinery:
             y = add(y, 0.0)
         y.backward()
         assert x.grad == 1.0
+
+
+# Every differentiable op as (fn of its tensor inputs, input shapes); a
+# domain of (0.5, 2.0) keeps log and power away from zero.
+_MASK = np.array([[False, True, False], [True, False, True]])
+_ROUTED_OPS = {
+    "add": (add, [(3, 4), (4,)]),
+    "mul": (mul, [(3, 1), (3, 4)]),
+    "matmul": (matmul, [(2, 3, 4), (4, 2)]),
+    "concat": (lambda a, b: concat([a, b], axis=1), [(2, 3), (2, 2)]),
+    "masked_scatter": (lambda base, v: masked_scatter(base, _MASK, v), [(2, 3, 2), (3, 2)]),
+    "power": (lambda x: power(x, 3.0), [(3, 4)]),
+    "exp": (exp, [(3, 4)]),
+    "log": (log, [(3, 4)]),
+    "gelu": (gelu, [(3, 4)]),
+    "reshape": (lambda x: reshape(x, (4, 3)), [(3, 4)]),
+    "transpose": (lambda x: transpose(x, (1, 0)), [(3, 4)]),
+    "sum_": (lambda x: sum_(x, axis=0), [(3, 4)]),
+    "mean": (lambda x: mean(x, axis=1, keepdims=True), [(3, 4)]),
+    "take_rows": (lambda x: take_rows(x, np.array([2, 0, 2])), [(3, 4)]),
+    "index_select_last": (lambda x: index_select_last(x, np.array([1, 0])), [(2, 3, 4)]),
+    "gather_last": (lambda x: gather_last(x, np.array([3, 0, 1])), [(3, 4)]),
+    "softmax": (lambda x: softmax(x, temperature=0.5), [(3, 4)]),
+    "log_softmax": (log_softmax, [(3, 4)]),
+    "layer_norm_core": (layer_norm_core, [(3, 4)]),
+    "l2_normalize": (l2_normalize, [(3, 4)]),
+    "bilinear_downsample_t": (lambda x: bilinear_downsample_t(x, 4, 4, 2), [(16, 2)]),
+}
+_ROUTING_CASES = [(name, i) for name, (_, shapes) in _ROUTED_OPS.items()
+                  for i in range(len(shapes))]
+
+
+@pytest.mark.parametrize("name, const_at", _ROUTING_CASES,
+                         ids=[f"{n}-const{i}" for n, i in _ROUTING_CASES])
+def test_constant_input_gets_no_gradient(name, const_at, rng):
+    """One input is a constant: its .grad stays None and every other input
+    still gets a gradient that passes the finite-difference check."""
+    fn, shapes = _ROUTED_OPS[name]
+    inputs = [Tensor(rng.uniform(0.5, 2.0, s), requires_grad=i != const_at)
+              for i, s in enumerate(shapes)]
+    inputs[const_at] = constant(inputs[const_at].data)
+    w = rng.normal(0, 1, fn(*inputs).shape)
+    others = [t for i, t in enumerate(inputs) if i != const_at]
+    fd_check(lambda: sum_(mul(fn(*inputs), w)), others, rel_tol=1e-3)
+    if not others:
+        assert not fn(*inputs).requires_grad
+    assert inputs[const_at].grad is None
+
+
+def _sum_to(g, shape):
+    """Independent oracle: one sum over every axis numpy broadcast."""
+    lead = g.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(lead + i for i, d in enumerate(shape)
+                                      if d == 1 and g.shape[lead + i] != 1)
+    return g.sum(axis=axes).reshape(shape)
+
+
+@st.composite
+def _broadcast_operand(draw, full):
+    """A shape that broadcasts to `full`: some leading dims dropped, some
+    of the rest set to 1."""
+    kept = full[draw(st.integers(0, len(full))):]
+    return tuple(1 if draw(st.booleans()) else d for d in kept)
+
+
+_DIMS = st.lists(st.integers(1, 3), min_size=0, max_size=3).map(tuple)
+
+
+@given(st.data(), _DIMS.filter(len), st.sampled_from(["add", "mul"]))
+@settings(max_examples=60, deadline=None)
+def test_elementwise_broadcast_gradients_sum_to_input_shape(data, full, op):
+    r = np.random.default_rng(len(full))
+    sa = data.draw(_broadcast_operand(full))
+    sb = data.draw(_broadcast_operand(full))
+    a = Tensor(r.normal(0, 1, sa), requires_grad=True)
+    b = Tensor(r.normal(0, 1, sb), requires_grad=True)
+    out = (add if op == "add" else mul)(a, b)
+    g = r.normal(0, 1, np.broadcast_shapes(sa, sb))
+    out.backward(g)
+    da, db = (g, g) if op == "add" else (g * b.data, g * a.data)
+    assert a.grad.shape == sa and b.grad.shape == sb
+    assert np.allclose(a.grad, _sum_to(da, sa), rtol=1e-12, atol=1e-12)
+    assert np.allclose(b.grad, _sum_to(db, sb), rtol=1e-12, atol=1e-12)
+
+
+@given(st.data(), _DIMS, st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_batched_matmul_gradients_sum_to_input_shape(data, lead, m, k, n):
+    r = np.random.default_rng(m * 9 + k * 3 + n)
+    sa = data.draw(_broadcast_operand(lead)) + (m, k)
+    sb = data.draw(_broadcast_operand(lead)) + (k, n)
+    a = Tensor(r.normal(0, 1, sa), requires_grad=True)
+    b = Tensor(r.normal(0, 1, sb), requires_grad=True)
+    out = matmul(a, b)
+    batch = np.broadcast_shapes(sa[:-2], sb[:-2])
+    g = r.normal(0, 1, batch + (m, n))
+    out.backward(g)
+    full_a = np.broadcast_to(a.data, batch + (m, k))
+    full_b = np.broadcast_to(b.data, batch + (k, n))
+    assert np.allclose(a.grad, _sum_to(np.einsum("...mn,...kn->...mk", g, full_b), sa),
+                       rtol=1e-12, atol=1e-12)
+    assert np.allclose(b.grad, _sum_to(np.einsum("...mk,...mn->...kn", full_a, g), sb),
+                       rtol=1e-12, atol=1e-12)

@@ -215,6 +215,15 @@ class TestExperimentConfig:
         with pytest.raises(ExperimentConfigError, match="all seeds failed"):
             run_experiment(ExperimentConfig(preset=preset, seeds=[0, 1]))
 
+    def test_program_fault_in_a_seed_propagates(self, monkeypatch):
+        """Only ValueError and RuntimeError mark a seed failed; a TypeError
+        is a fault in the program, not a failed seed."""
+        def fault(*args, **kwargs):
+            raise TypeError("unexpected keyword")
+        monkeypatch.setattr(experiment, "run_seed_pipeline", fault)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            run_experiment(ExperimentConfig(seeds=[0, 1]))
+
     def test_report_rendering_with_missing_cells(self):
         report = {"rows": [{"config": "a", "seed0": 0.5, "median_p_at_1": 0.5},
                            {"config": "b", "seed1": 0.25, "median_p_at_1": 0.25}]}
@@ -250,10 +259,13 @@ def cli_workspace(tmp_path_factory):
 # Each command with one flag it does not read (the last case lacks the
 # required --ckpt); argparse must reject each with exit 1.
 _UNREAD_FLAGS = [
-    (["train", "--stage", "warmup", "--corpus", "c.jsonl", "--epochs", "1"], "--epochs"),
-    (["mine", "--corpus", "c.jsonl", "--ckpt", "m", "--n", "2"], "--n"),
-    (["mine", "--corpus", "c.jsonl", "--ckpt", "m", "--window", "5", "9"], "--window"),
-    (["mine", "--corpus", "c.jsonl", "--ckpt", "m", "--config", "x.json"], "--config"),
+    (["train", "--stage", "warmup", "--corpus", "c.jsonl", "--out", "o", "--epochs", "1"],
+     "--epochs"),
+    (["mine", "--corpus", "c.jsonl", "--ckpt", "m", "--out", "o", "--n", "2"], "--n"),
+    (["mine", "--corpus", "c.jsonl", "--ckpt", "m", "--out", "o", "--window", "5", "9"],
+     "--window"),
+    (["mine", "--corpus", "c.jsonl", "--ckpt", "m", "--out", "o", "--config", "x.json"],
+     "--config"),
     (["eval", "--corpus", "c.jsonl", "--qrels", "q", "--ckpt", "m", "--seed", "0"], "--seed"),
     (["eval", "--corpus", "c.jsonl", "--qrels", "q", "--ckpt", "m", "--config", "x"],
      "--config"),
@@ -318,6 +330,22 @@ class TestCLIContract:
     def test_flags_a_command_does_not_read_exit_1(self, argv, flag, capsys):
         assert cli(argv) == 1
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["gen-data", "train", "mine", "curate", "profile"])
+    def test_out_required_where_a_command_needs_it(self, command, cli_workspace,
+                                                   tmp_path, monkeypatch, capsys):
+        root, cfg_path, data_dir = cli_workspace
+        corpus = str(data_dir / "corpus.jsonl")
+        argv = {"gen-data": ["--seed", "0", "--config", str(cfg_path)],
+                "train": ["--stage", "restore", "--steps", "1", "--config", str(cfg_path),
+                          "--corpus", corpus],
+                "mine": ["--corpus", corpus, "--ckpt", str(root / "restore.ckpt")],
+                "curate": ["--corpus", corpus, "--config", str(cfg_path)],
+                "profile": ["--grid", "4", "--trials", "3"]}[command]
+        monkeypatch.chdir(tmp_path)
+        assert cli([command, *argv]) == 1
+        assert "--out" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())  # no None.trace.csv or other stray file
 
     def test_runtime_failure_missing_file_exits_2(self, capsys):
         rc = cli(["eval", "--corpus", "/nonexistent/c.jsonl",

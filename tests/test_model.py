@@ -191,6 +191,24 @@ class TestCheckpoint:
         with pytest.raises(ConfigError):
             Model.load(p)
 
+    def test_truncated_or_padded_checkpoint_raises_config_error(self, small_model, tmp_path):
+        good = tmp_path / "good.ckpt"
+        small_model.save(good)
+        data = good.read_bytes()
+        n = len(data)
+        cuts = sorted({0, 3, 8, 12, 40, 200, n // 2, n - 1} | set(range(6, n, n // 40)))
+        bad = tmp_path / "bad.ckpt"
+        for cut in cuts:
+            bad.write_bytes(data[:cut])
+            with pytest.raises(ConfigError, match="bad.ckpt"):
+                Model.load(bad)
+        bad.write_bytes(data + b"\x00")
+        with pytest.raises(ConfigError, match="bad.ckpt.*trailing"):
+            Model.load(bad)
+        bad.write_bytes(data[:14] + b"[" + data[15:])  # the config JSON's opening brace
+        with pytest.raises(ConfigError, match="bad.ckpt.*config"):
+            Model.load(bad)
+
     def test_clone_is_independent(self, small_model):
         c = small_model.clone()
         c.params["tok_emb"].data += 1.0

@@ -18,6 +18,7 @@ from vtembed.trainer import (
     StageOrderError,
     StagePlan,
     _DivergenceWatch,
+    _contrastive_step,
     check_predecessor,
     load_stage_checkpoint,
     mine_all,
@@ -308,3 +309,26 @@ class TestTrainingRuns:
         e1 = np.stack([e.vector for e in m.embed_many(candidates[:6])])
         e2 = np.stack([e.vector for e in m2.embed_many(candidates[:6])])
         assert np.array_equal(e1, e2)
+
+
+# Tensors one small-config contrastive step builds (forward; backward builds
+# none), counted when the op graph was last changed. A fused op may lower it.
+CONTRASTIVE_STEP_TENSORS = 115
+
+
+def test_contrastive_step_graph_size(small_cfg, small_corpus, monkeypatch):
+    candidates, queries, _ = small_corpus
+    model = Model(small_cfg)
+    by_id = {c.example_id: c for c in candidates}
+    batch = [q for q in queries if q.split == "train"][:4]
+    extras = [[candidates[j].example_id for j in (i, i + 1)] for i in range(4)]
+    count = [0]
+    init = Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    _contrastive_step(model, batch, by_id, extras).backward()
+    assert model.params["tok_emb"].grad is not None
+    assert count[0] <= CONTRASTIVE_STEP_TENSORS
