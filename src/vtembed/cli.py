@@ -36,9 +36,11 @@ from .experiment import (
     run_experiment,
     two_stage_results,
 )
-from .model import Model
+from .autograd import Grid2D
+from .model import Model, MultimodalExample, with_compression
 from .profiler import emit_efficiency_table, measure_encode, token_budget
 from .retrieval import (
+    CandidateIndex,
     corpus_digest,
     load_qrels,
     save_qrels,
@@ -101,11 +103,9 @@ def _make_judge(name: str, noise: float, seed: int, ckpt):
         return ClassOracleJudge(noise_rate=noise, seed=seed)
     if name == "rule":
         return AlwaysIrrelevantJudge()
-    if name == "model":
-        if ckpt is None:
-            raise ValueError("--ckpt required for the model judge")
-        return ModelJudge(Model.load(ckpt))
-    raise ValueError(f"unknown judge {name!r}")
+    if ckpt is None:  # the model judge
+        raise ValueError("--ckpt required for the model judge")
+    return ModelJudge(Model.load(ckpt))
 
 
 def cmd_gen_data(args) -> int:
@@ -141,7 +141,8 @@ def cmd_train(args) -> int:
     elif stage == "warmup":
         report = run_warmup(model, candidates, queries, plan)
     elif stage == "global_hnm":
-        report = run_global_hnm(model, candidates, queries, plan)
+        mined = mine_all(model, candidates, [q for q in queries if q.split == "train"], plan)
+        report = run_global_hnm(model, candidates, queries, plan, mined)
     elif stage == "judge_ft":
         curated = load_curated(args.curated)
         report = run_stage3(model, candidates, queries, curated, plan)
@@ -206,7 +207,8 @@ def cmd_eval(args) -> int:
     candidates, queries = split_roles(examples)
     qrels = load_qrels(args.qrels)
     eval_q = [q for q in queries if q.split == "eval"] or queries
-    results = embed_results(Model.load(args.ckpt), candidates, eval_q)
+    model = Model.load(args.ckpt)
+    results = embed_results(CandidateIndex.build(model.embed_many(candidates)), model, eval_q)
     if args.command == "rerank-eval":
         reranker = Model.load(args.reranker_ckpt) if args.reranker_ckpt else None
         results = two_stage_results(results, candidates, eval_q, qrels, reranker)
@@ -219,8 +221,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    from .autograd import Grid2D
-    from .model import MultimodalExample, with_compression
     factors = [int(x) for x in args.factors.split(",")]
     base = replace(_seeded(_config(args).model, args), patch_h=args.grid,
                    patch_w=args.grid, max_seq_len=args.grid * args.grid + 32)
@@ -231,8 +231,7 @@ def cmd_profile(args) -> int:
         rng = np.random.default_rng(cfg.seed)
         grid = Grid2D(rng.normal(0, 1, (cfg.patch_h, cfg.patch_w, cfg.vision_channels)))
         cand = MultimodalExample(example_id="pc", role="candidate", visual=grid)
-        query = MultimodalExample(example_id="pq", role="query",
-                                  text=(20, 21, 22, 23))
+        query = MultimodalExample(example_id="pq", role="query", text=(20, 21, 22, 23))
         profiles.append(measure_encode(model, query, trials=args.trials, label=f"s={s}"))
         profiles.append(measure_encode(model, cand, trials=args.trials, label=f"s={s}"))
         print(f"s={s}: candidate visual tokens {token_budget(cfg)}")
@@ -265,6 +264,15 @@ _SHARED_FLAGS = {"--seed": {"type": int, "default": None}, "--config": {"default
                  "--out": {"required": True}, "--out?": {"default": None},
                  "--corpus": {"required": True},
                  "--qrels": {"required": True}, "--ckpt": {"required": True}}
+
+
+def _int_at_least(low: int):
+    """An argparse type: an int no smaller than `low`, else a usage error."""
+    def parse(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return int(text)
+    return parse
 
 
 def build_parser() -> _Parser:
@@ -301,7 +309,7 @@ def build_parser() -> _Parser:
         sp.add_argument("--ckpt", default=None)  # default: a fresh model embeds
         sp.add_argument("--judge", default="oracle", choices=["oracle", "rule", "model"])
         sp.add_argument("--noise", type=float, default=0.0)
-        sp.add_argument("--k", type=int, default=DEFAULT_JUDGE_K)
+        sp.add_argument("--k", type=_int_at_least(1), default=DEFAULT_JUDGE_K)
         sp.add_argument("--template", default="T2I")
         if name == "judge":
             sp.add_argument("--query-id", default=None)
@@ -316,7 +324,7 @@ def build_parser() -> _Parser:
                  "--seed", "--config", "--out")
     sp.add_argument("--factors", default="1,2")
     sp.add_argument("--grid", type=int, default=16)
-    sp.add_argument("--trials", type=int, default=5)
+    sp.add_argument("--trials", type=_int_at_least(3), default=5)
 
     sp = command("experiment", cmd_experiment, "run an ablation preset",
                  "--seed", "--config", "--out?")

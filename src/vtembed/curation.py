@@ -201,12 +201,18 @@ def retrieve_and_judge(query: MultimodalExample, corpus_by_id: Dict[str, Multimo
 def curate_all(queries: Sequence[MultimodalExample],
                corpus: Sequence[MultimodalExample], embedder, judge,
                template_id: str, k: int = DEFAULT_JUDGE_K) -> List[CuratedSample]:
-    """Retrieve-and-judge every query; merge order follows query order."""
+    """`curate_index` over an index of `corpus` built with `embedder`."""
+    return curate_index(CandidateIndex.build(embedder(list(corpus))), queries, corpus,
+                        embedder, judge, template_id, k)
+
+
+def curate_index(index: CandidateIndex, queries: Sequence[MultimodalExample],
+                 corpus: Sequence[MultimodalExample], embedder, judge,
+                 template_id: str, k: int) -> List[CuratedSample]:
+    """Retrieve-and-judge every query against `index`, the embedded `corpus`."""
     corpus_by_id = {c.example_id: c for c in corpus}
-    index = CandidateIndex.build(embedder(list(corpus)))
-    qvecs = embedder(list(queries))
     return [retrieve_and_judge(q, corpus_by_id, index, e.vector, judge, template_id, k=k)
-            for q, e in zip(queries, qvecs)]
+            for q, e in zip(queries, embedder(list(queries)))]
 
 
 def build_stage3_batch(sample: CuratedSample,

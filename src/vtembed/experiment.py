@@ -20,7 +20,7 @@ from .curation import (
     AlwaysIrrelevantJudge,
     ClassOracleJudge,
     ModelJudge,
-    curate_all,
+    curate_index,
 )
 from .data import SyntheticTaskSpec, generate_corpus, instruction_pairs
 from .model import Model, ModelConfig, MultimodalExample
@@ -36,6 +36,7 @@ from .retrieval import (
 )
 from .trainer import (
     StagePlan,
+    mine_index,
     run_global_hnm,
     run_reranker,
     run_stage1,
@@ -132,19 +133,18 @@ def retrieval_metrics(results: Sequence[RankedResult], qrels: Qrels) -> Dict[str
             "ndcg_at_5": ndcg_at_5(results, qrels)}
 
 
-def embed_results(model: Model, candidates: Sequence[MultimodalExample],
+def embed_results(index: CandidateIndex, model: Model,
                   queries: Sequence[MultimodalExample]) -> List[RankedResult]:
-    """Embed-only top-EVAL_K ranking of the candidates for each query."""
-    index = CandidateIndex.build(model.embed_many(list(candidates)))
-    qembs = model.embed_many(list(queries))
+    """Embed-only top-EVAL_K ranking of `index`, the candidates embedded by
+    `model`, for each query."""
     k = min(EVAL_K, len(index))
     return [search(index, e.vector, k=k, query_id=q.example_id)
-            for q, e in zip(queries, qembs)]
+            for q, e in zip(queries, model.embed_many(list(queries)))]
 
 
-def evaluate_embedder(model: Model, candidates: Sequence[MultimodalExample],
+def evaluate_embedder(index: CandidateIndex, model: Model,
                       queries: Sequence[MultimodalExample], qrels: Qrels) -> Dict[str, float]:
-    return retrieval_metrics(embed_results(model, candidates, queries), qrels)
+    return retrieval_metrics(embed_results(index, model, queries), qrels)
 
 
 def oracle_scorer(query_id: str, qrels: Qrels) -> Callable[[str], float]:
@@ -203,8 +203,8 @@ def _plan(stage: str, steps: int, tr: TrainSettings, seed: int, **kw) -> StagePl
 
 @dataclass
 class _Seed:
-    """One seed's corpus and its model trained through global HNM, with
-    copies of the restore and warmup states."""
+    """One seed's corpus, its model trained through global HNM, copies of the
+    restore and warmup states, and one corpus index per evaluated state."""
     task_class: str
     candidates: List[MultimodalExample]
     queries: List[MultimodalExample]
@@ -213,7 +213,9 @@ class _Seed:
     eval_q: List[MultimodalExample]
     restored: Model   # where the trained reranker starts
     warmed: Model
+    warm_index: CandidateIndex
     model: Model
+    hnm_index: CandidateIndex
     traces: Dict[str, List[float]]
 
 
@@ -229,19 +231,24 @@ def _trained_through_hnm(cfg: ExperimentConfig, seed: int) -> _Seed:
     restored = model.clone()
     rw = run_warmup(model, candidates, queries, _plan("warmup", tr.warmup_steps, tr, seed))
     warmed = model.clone()
-    rh = run_global_hnm(model, candidates, queries,
-                        _plan("global_hnm", tr.hnm_steps, tr, seed))
+    warm_index = CandidateIndex.build(model.embed_many(candidates))
+    train_q = [q for q in queries if q.split == "train"]
+    hnm = _plan("global_hnm", tr.hnm_steps, tr, seed)
+    rh = run_global_hnm(model, candidates, queries, hnm,
+                        mine_index(warm_index, model, train_q, hnm))
     return _Seed(task_class=dspec.task_class, candidates=candidates, queries=queries,
-                 qrels=qrels, train_q=[q for q in queries if q.split == "train"],
+                 qrels=qrels, train_q=train_q,
                  eval_q=[q for q in queries if q.split == "eval"],
-                 restored=restored, warmed=warmed, model=model,
+                 restored=restored, warmed=warmed, warm_index=warm_index, model=model,
+                 hnm_index=CandidateIndex.build(model.embed_many(candidates)),
                  traces={"restore": r1.loss_trace, "warmup": rw.loss_trace,
                          "global_hnm": rh.loss_trace})
 
 
 def _curated(s: _Seed, judge):
-    return curate_all(s.train_q, s.candidates, s.model.embed_many, judge,
-                      template_id=s.task_class, k=min(DEFAULT_JUDGE_K, len(s.candidates)))
+    """Curate the train queries with the HNM state."""
+    return curate_index(s.hnm_index, s.train_q, s.candidates, s.model.embed_many, judge,
+                        s.task_class, min(DEFAULT_JUDGE_K, len(s.candidates)))
 
 
 def run_seed_pipeline(cfg: ExperimentConfig, seed: int) -> SeedRun:
@@ -252,14 +259,15 @@ def run_seed_pipeline(cfg: ExperimentConfig, seed: int) -> SeedRun:
     model, candidates, queries, eval_q, qrels = (s.model, s.candidates, s.queries,
                                                  s.eval_q, s.qrels)
     traces = dict(s.traces)
-    metrics = {"warmup": evaluate_embedder(s.warmed, candidates, eval_q, qrels),
-               "global_hnm": evaluate_embedder(model, candidates, eval_q, qrels)}
+    metrics = {"warmup": evaluate_embedder(s.warm_index, s.warmed, eval_q, qrels),
+               "global_hnm": evaluate_embedder(s.hnm_index, model, eval_q, qrels)}
 
     curated = _curated(s, ClassOracleJudge(noise_rate=tr.judge_noise, seed=seed))
     r3 = run_stage3(model, candidates, queries, curated,
                     _plan("judge_ft", tr.stage3_steps, tr, seed, n_hard=tr.n_hard))
     traces["judge_ft"] = r3.loss_trace
-    results = embed_results(model, candidates, eval_q)  # both rows rank this once
+    ft_index = CandidateIndex.build(model.embed_many(candidates))
+    results = embed_results(ft_index, model, eval_q)  # both rows rank this once
     metrics["judge_ft"] = retrieval_metrics(results, qrels)
     reranker = s.restored if tr.reranker == "trained" else None
     if reranker is not None:
@@ -275,8 +283,8 @@ def run_table5_seed(cfg: ExperimentConfig, seed: int,
                     n_values: Sequence[int]) -> Dict[str, Dict[str, float]]:
     """Stage-3 sweep for one seed: hard-negative count x judge type.
 
-    The prefix through global-HNM is shared; each (arm, n) trains its own
-    stage-3 copy from that checkpoint.
+    The prefix through global-HNM and its index are shared; each (arm, n)
+    trains its own stage-3 copy from that checkpoint.
     """
     tr = cfg.train
     s = _trained_through_hnm(cfg, seed)
@@ -289,7 +297,8 @@ def run_table5_seed(cfg: ExperimentConfig, seed: int,
             m = s.model.clone()
             run_stage3(m, s.candidates, s.queries, curated,
                        _plan("judge_ft", tr.stage3_steps, tr, seed, n_hard=n))
-            out[f"{arm}:n={n}"] = evaluate_embedder(m, s.candidates, s.eval_q, s.qrels)
+            index = CandidateIndex.build(m.embed_many(s.candidates))
+            out[f"{arm}:n={n}"] = evaluate_embedder(index, m, s.eval_q, s.qrels)
     return out
 
 
@@ -369,12 +378,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
 
 
 def _columns(rows: List[dict]) -> List[str]:
-    cols: List[str] = []
-    for r in rows:
-        for k in r:
-            if k not in cols:
-                cols.append(k)
-    return cols
+    return list(dict.fromkeys(k for r in rows for k in r))  # in first-seen order
 
 
 def _cell(row: dict, col: str) -> str:

@@ -7,7 +7,7 @@ import csv
 import io
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from .model import Model, ModelConfig, MultimodalExample, serialize
 from . import vocab
@@ -23,7 +23,6 @@ class CostProfile:
     attention_flops: float
     wall_clock_ms: float
     trials: int
-    timer_warning: bool = False
 
 
 def token_budget(cfg: ModelConfig, tiles: int = 1, has_image: bool = True) -> int:
@@ -64,14 +63,12 @@ def measure_encode(model: Model, example: MultimodalExample, trials: int = 10,
         model.embed(example)
         times.append(time.perf_counter() - t0)
     mean_s = sum(times) / trials
-    resolution = time.get_clock_info("perf_counter").resolution
     return CostProfile(
         label=label, role=example.role,
         visual_tokens=n_vis * tiles, text_tokens=n_text, tiles=tiles,
         attention_flops=attention_cost(len(s.ids), model.cfg.num_layers,
                                        model.cfg.num_heads, model.cfg.embed_dim),
-        wall_clock_ms=mean_s * 1e3, trials=trials,
-        timer_warning=resolution > 0.01 * mean_s)
+        wall_clock_ms=mean_s * 1e3, trials=trials)
 
 
 def emit_efficiency_table(profiles: Sequence[CostProfile]) -> Dict[str, str]:
@@ -79,13 +76,9 @@ def emit_efficiency_table(profiles: Sequence[CostProfile]) -> Dict[str, str]:
     and CSV. Missing role measurements render as '-'."""
     if not profiles:
         raise ValueError("need at least one profile")
-    by_label: Dict[str, Dict[str, CostProfile]] = {}
-    order: List[str] = []
+    by_label: Dict[str, Dict[str, CostProfile]] = {}  # in first-seen label order
     for p in profiles:
-        if p.label not in by_label:
-            by_label[p.label] = {}
-            order.append(p.label)
-        by_label[p.label][p.role] = p
+        by_label.setdefault(p.label, {})[p.role] = p
 
     def cell(p: Optional[CostProfile], attr: str) -> str:
         if p is None:
@@ -95,9 +88,8 @@ def emit_efficiency_table(profiles: Sequence[CostProfile]) -> Dict[str, str]:
 
     header = ["config", "#VT_q", "l_q (ms)", "#VT_c", "l_c (ms)"]
     rows = []
-    for label in order:
-        q = by_label[label].get("query")
-        c = by_label[label].get("candidate")
+    for label, roles in by_label.items():
+        q, c = roles.get("query"), roles.get("candidate")
         rows.append([label, cell(q, "visual_tokens"), cell(q, "wall_clock_ms"),
                      cell(c, "visual_tokens"), cell(c, "wall_clock_ms")])
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Sequence
 
 import numpy as np
@@ -27,14 +27,20 @@ class EvaluationError(ValueError):
 @dataclass
 class CandidateIndex:
     ids: List[str]
-    matrix: np.ndarray  # |ids| x D, unit-norm rows
+    matrix: np.ndarray  # |ids| x D, finite unit-norm rows
+    id_rank: np.ndarray = field(init=False, repr=False)  # each id's place in sorted ids
 
     def __post_init__(self):
         if len(self.ids) != len(set(self.ids)):
             raise ValueError("candidate ids must be unique")
+        if len(self.matrix) != len(self.ids):
+            raise ValueError(f"index has {len(self.matrix)} rows for {len(self.ids)} ids")
+        if not np.isfinite(self.matrix).all():
+            raise ValueError("index rows must be finite")
         norms = np.linalg.norm(self.matrix, axis=1)
         if len(self.ids) and np.any(np.abs(norms - 1.0) > 1e-6):
             raise ValueError("index rows must be unit-norm")
+        self.id_rank = np.argsort(sorted(range(len(self.ids)), key=self.ids.__getitem__))
 
     def __len__(self):
         return len(self.ids)
@@ -60,13 +66,13 @@ def search(index: CandidateIndex, query_embedding: np.ndarray, k: int,
     """Exact top-k by dot product; ties broken by ascending candidate id."""
     if len(index) == 0:
         raise IndexStateError("search over an empty index")
-    if k > len(index):
-        raise ValueError(f"k={k} exceeds index size {len(index)}")
+    if not 1 <= k <= len(index):
+        raise ValueError(f"k={k} outside [1, index size {len(index)}]")
     scores = index.matrix @ np.asarray(query_embedding, dtype=np.float64)
-    order = sorted(range(len(index)), key=lambda i: (-scores[i], index.ids[i]))[:k]
+    order = np.lexsort((index.id_rank, -scores))[:k]
     return RankedResult(query_id=query_id,
                         ids=[index.ids[i] for i in order],
-                        scores=[float(scores[i]) for i in order])
+                        scores=scores[order].tolist())
 
 
 PairScorer = Callable[[str], float]
@@ -177,23 +183,6 @@ def save_results(path, results: Sequence[RankedResult]):
         for r in results:
             for rank, (cid, score) in enumerate(zip(r.ids, r.scores), start=1):
                 f.write(f"{r.query_id}\t{rank}\t{cid}\t{float(score)!r}\t{r.stage}\n")
-
-
-def load_results(path) -> List[RankedResult]:
-    by_query: Dict[str, RankedResult] = {}
-    order: List[str] = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 5:
-                raise EvaluationError(f"{path}:{lineno}: malformed results line")
-            qid, _rank, cid, score, stage = parts
-            if qid not in by_query:
-                by_query[qid] = RankedResult(qid, [], [], stage)
-                order.append(qid)
-            by_query[qid].ids.append(cid)
-            by_query[qid].scores.append(float(score))
-    return [by_query[q] for q in order]
 
 
 def corpus_digest(path) -> str:

@@ -322,19 +322,21 @@ def run_warmup(model: Model, candidates: Sequence[MultimodalExample],
 def mine_all(model: Model, candidates: Sequence[MultimodalExample],
              queries: Sequence[MultimodalExample], plan: StagePlan
              ) -> Dict[str, List[str]]:
-    """Mine hard negatives for every query with the current model, once.
+    """`mine_index` over an index of `candidates` built with `model`."""
+    return mine_index(CandidateIndex.build(model.embed_many(candidates)), model,
+                      queries, plan)
 
-    Mining is frozen at the checkpoint that enters this phase; training
-    steps never re-mine. A corpus too small for the window is logged once
-    per pass.
-    """
-    index = CandidateIndex.build(model.embed_many(candidates))
-    qembs = model.embed_many(list(queries))
+
+def mine_index(index: CandidateIndex, model: Model, queries: Sequence[MultimodalExample],
+               plan: StagePlan) -> Dict[str, List[str]]:
+    """Mine hard negatives for every query against `index`, the corpus as
+    `model` embeds it on entering global HNM; training steps never re-mine.
+    A corpus too small for the window is logged once per pass."""
     recs = [mine_from_index(q.example_id, e.vector, index, q.gt_positive_id,
                             n=plan.mine_count, window=plan.mine_window,
                             seed=int(np.random.SeedSequence(
                                 [plan.seed, 13, i]).generate_state(1)[0]))
-            for i, (q, e) in enumerate(zip(queries, qembs))]
+            for i, (q, e) in enumerate(zip(queries, model.embed_many(list(queries))))]
     shrunk = [r.window for r in recs if r.shrunk]
     if shrunk:
         logger.warning("mining window %s shrunk to %s for %d of %d queries "
@@ -345,12 +347,10 @@ def mine_all(model: Model, candidates: Sequence[MultimodalExample],
 
 def run_global_hnm(model: Model, candidates: Sequence[MultimodalExample],
                    queries: Sequence[MultimodalExample], plan: StagePlan,
-                   mined: Optional[Dict[str, List[str]]] = None) -> TrainReport:
-    """Phase B: inject mined negatives and run a new round of training."""
-    t0 = time.perf_counter()  # wall_clock covers mining too
+                   mined: Dict[str, List[str]]) -> TrainReport:
+    """Phase B: train with the negatives mined for each train query."""
+    t0 = time.perf_counter()
     train_q = [q for q in queries if q.split == "train"]
-    if mined is None:
-        mined = mine_all(model, candidates, train_q, plan)
     return _contrastive_stage(model, candidates, train_q, plan,
                               lambda step, batch: [mined[q.example_id] for q in batch],
                               t0)

@@ -246,6 +246,7 @@ def _ablation_config():
     return cfg
 
 
+@pytest.mark.slow
 def test_criterion_07_progressive_training_direction():
     t0 = time.time()
     cfg = _ablation_config()
@@ -259,6 +260,7 @@ def test_criterion_07_progressive_training_direction():
             ok, time.time() - t0, 1800)
 
 
+@pytest.mark.slow
 def test_criterion_08_judge_vs_rule_negatives():
     t0 = time.time()
     cfg = _ablation_config()

@@ -347,6 +347,27 @@ class TestCLIContract:
         assert "--out" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())  # no None.trace.csv or other stray file
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["judge", "--k", "0"], "--k"), (["judge", "--k", "-1"], "--k"),
+        (["curate", "--k", "0", "--out", "o"], "--k"),
+        (["profile", "--trials", "1", "--out", "o"], "--trials"),
+        (["profile", "--trials", "2", "--out", "o"], "--trials")],
+        ids=["judge-k0", "judge-k-1", "curate-k0", "profile-trials1", "profile-trials2"])
+    def test_out_of_range_bound_is_a_usage_error(self, argv, flag, cli_workspace, tmp_path,
+                                                 monkeypatch, capsys):
+        """A bound below its floor exits 1 where the flag is parsed, before
+        any model is built or file written."""
+        root, cfg_path, data_dir = cli_workspace
+        command, *rest = argv
+        if command != "profile":
+            rest += ["--corpus", str(data_dir / "corpus.jsonl"), "--config", str(cfg_path)]
+        built = []
+        monkeypatch.setattr(Model, "__init__", lambda self, *a, **k: built.append(a))
+        monkeypatch.chdir(tmp_path)
+        assert cli([command, *rest]) == 1
+        assert f"argument {flag}: must be >=" in capsys.readouterr().err
+        assert not built and not list(tmp_path.iterdir())
+
     def test_runtime_failure_missing_file_exits_2(self, capsys):
         rc = cli(["eval", "--corpus", "/nonexistent/c.jsonl",
                   "--qrels", "/nonexistent/q.tsv", "--ckpt", "/nonexistent/m"])
@@ -509,16 +530,9 @@ def test_traced_names_resolve():
     assert not missing
 
 
-@pytest.mark.parametrize("reranker", ["oracle", "trained"])
-def test_seed_pipeline_encodes_the_corpus_once_per_evaluated_state(cfg, monkeypatch,
-                                                                   reranker):
-    """Warmup mining, warmup eval, HNM eval, curation and one judge-FT
-    ranking that both the +judge-FT and +reranker rows read: 5 encodes."""
-    exp = ExperimentConfig(seeds=[0], model=cfg,
-                           data=SyntheticTaskSpec(task_class="T2I", num_classes=3,
-                                                  corpus_size=24, queries_per_class=5),
-                           train=TrainSettings(stage1_steps=1, warmup_steps=1, hnm_steps=1,
-                                               stage3_steps=1, reranker=reranker))
+def _count_corpus_encodes(exp, monkeypatch, cfg):
+    """A list that gets one True per `Model.embed_many` call over seed 0's
+    whole corpus, and one False per other call."""
     candidates, _, _ = generate_corpus(replace(exp.data, seed=0), cfg)
     corpus_ids = [c.example_id for c in candidates]
     encodes = []
@@ -529,9 +543,38 @@ def test_seed_pipeline_encodes_the_corpus_once_per_evaluated_state(cfg, monkeypa
         encodes.append([e.example_id for e in examples] == corpus_ids)
         return real(self, examples, *args, **kwargs)
     monkeypatch.setattr(Model, "embed_many", counting)
+    return encodes
+
+
+def _encode_count_config(cfg, **train):
+    return ExperimentConfig(seeds=[0], model=cfg,
+                            data=SyntheticTaskSpec(task_class="T2I", num_classes=3,
+                                                   corpus_size=24, queries_per_class=5),
+                            train=TrainSettings(stage1_steps=1, warmup_steps=1, hnm_steps=1,
+                                                stage3_steps=1, **train))
+
+
+@pytest.mark.parametrize("reranker", ["oracle", "trained"])
+def test_seed_pipeline_encodes_the_corpus_once_per_evaluated_state(cfg, monkeypatch,
+                                                                   reranker):
+    """One index per model state: the warmup state's (mining and its eval),
+    the HNM state's (its eval and curation) and the judge-FT state's (the
+    +judge-FT and +reranker rows): 3 encodes."""
+    exp = _encode_count_config(cfg, reranker=reranker)
+    encodes = _count_corpus_encodes(exp, monkeypatch, cfg)
     run = experiment.run_seed_pipeline(exp, 0)
     assert set(run.metrics) == set(STAGE_LABELS)
-    assert sum(encodes) == 5
+    assert sum(encodes) == 3
+
+
+def test_table5_seed_encodes_the_corpus_once_per_model_state(cfg, monkeypatch):
+    """The warmup state (mining), the HNM state (curation for both judge
+    arms) and one judge-FT state per (arm, n): 2 + 2 * |sweep| encodes."""
+    exp = _encode_count_config(cfg)
+    encodes = _count_corpus_encodes(exp, monkeypatch, cfg)
+    out = experiment.run_table5_seed(exp, 0, [0, 2])
+    assert sorted(out) == ["mllm:n=0", "mllm:n=2", "rule:n=0", "rule:n=2"]
+    assert sum(encodes) == 6
 
 
 # (callable, positional argument count, keywords) of each call shape in

@@ -12,7 +12,6 @@ from vtembed.retrieval import (
     IndexStateError,
     RankedResult,
     load_qrels,
-    load_results,
     ndcg_at_5,
     ndcg_at_k,
     precision_at_1,
@@ -69,6 +68,30 @@ class TestSearch:
         with pytest.raises(ValueError):
             search(_index(rng, n=3), _unit(rng), k=4)
 
+    @pytest.mark.parametrize("k", [0, -1, -3])
+    def test_k_below_one_rejected(self, rng, k):
+        """k=-1 used to slice off the last id and return the other N-1."""
+        with pytest.raises(ValueError, match=f"k={k}"):
+            search(_index(rng, n=3), _unit(rng), k=k)
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 40), st.integers(1, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_lexsort_matches_python_key_sort(self, seed, n, distinct):
+        """Rows drawn from `distinct` unit vectors, so scores tie often,
+        under shuffled ids: the order is the old Python key sort's."""
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(0, 1, (distinct, 3))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        ids = [f"c{i}" for i in rng.permutation(n) * 7]
+        idx = CandidateIndex(ids=ids, matrix=rows[rng.integers(distinct, size=n)])
+        q = rows[0] if rng.random() < 0.5 else _unit(rng, d=3)
+        k = int(rng.integers(1, n + 1))
+        scores = idx.matrix @ q
+        oracle = sorted(range(n), key=lambda i: (-scores[i], ids[i]))[:k]
+        got = search(idx, q, k=k)
+        assert got.ids == [ids[i] for i in oracle]
+        assert got.scores == [float(scores[i]) for i in oracle]
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError, match="unique"):
             CandidateIndex(ids=["a", "a"], matrix=np.eye(2))
@@ -76,6 +99,20 @@ class TestSearch:
     def test_non_unit_rows_rejected(self):
         with pytest.raises(ValueError, match="unit-norm"):
             CandidateIndex(ids=["a"], matrix=np.array([[2.0, 0.0]]))
+
+    @pytest.mark.parametrize("ids, n_rows", [(["a", "b"], 3), (["a", "b", "c"], 2),
+                                             (["a"], 0)])
+    def test_row_count_must_match_ids(self, ids, n_rows):
+        with pytest.raises(ValueError, match=f"{n_rows} rows for {len(ids)} ids"):
+            CandidateIndex(ids=ids, matrix=np.eye(3)[:n_rows])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_rejected(self, bad):
+        """A NaN row passed the unit-norm check (|nan - 1| > tol is False)."""
+        m = np.eye(3)
+        m[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            CandidateIndex(ids=["a", "b", "c"], matrix=m)
 
     def test_build_from_embeddings(self, rng):
         embs = [Embedding(source_id=f"e{i}", vector=_unit(rng)) for i in range(3)]
@@ -206,12 +243,12 @@ class TestPersistence:
                                 "embed_only") for i in range(3)]
         p = tmp_path / "run.tsv"
         save_results(p, results)
-        back = load_results(p)
-        assert [r.query_id for r in back] == [r.query_id for r in results]
-        for got, want in zip(back, results):
-            assert got.ids == want.ids
-            assert got.scores == want.scores  # repr() roundtrips float64 exactly
-            assert got.stage == want.stage
+        rows = [line.split("\t") for line in p.read_text().splitlines()]
+        assert rows == [[r.query_id, str(rank), cid, repr(float(score)), r.stage]
+                        for r in results
+                        for rank, (cid, score) in enumerate(zip(r.ids, r.scores), start=1)]
+        back = [float(row[3]) for row in rows]
+        assert back == [s for r in results for s in r.scores]  # repr() roundtrips exactly
 
     def test_malformed_line_reports_position(self, tmp_path):
         p = tmp_path / "bad.tsv"
