@@ -173,11 +173,14 @@ def gelu(a) -> Tensor:
     """tanh-approximation GELU."""
     a = as_tensor(a)
     c = np.sqrt(2.0 / np.pi)
-    inner = c * (a.data + 0.044715 * a.data ** 3)
+    # the cube by multiplication: `** 3` goes through numpy's generic pow,
+    # about 40x slower at these sizes
+    x2 = a.data * a.data
+    inner = c * (a.data + 0.044715 * (x2 * a.data))
     t = np.tanh(inner)
 
     def vjp(g):
-        dinner = c * (1.0 + 3 * 0.044715 * a.data ** 2)
+        dinner = c * (1.0 + 3 * 0.044715 * x2)
         return g * (0.5 * (1.0 + t) + 0.5 * a.data * (1.0 - t ** 2) * dinner)
     return _node(0.5 * a.data * (1.0 + t), (a,), (vjp,))
 

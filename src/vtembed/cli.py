@@ -8,6 +8,7 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -98,14 +99,14 @@ def _seeded(section, args):
     return section if args.seed is None else replace(section, seed=args.seed)
 
 
-def _make_judge(name: str, noise: float, seed: int, ckpt):
+def _make_judge(name: str, noise: float, seed: int, model: Optional[Model]):
     if name == "oracle":
         return ClassOracleJudge(noise_rate=noise, seed=seed)
     if name == "rule":
         return AlwaysIrrelevantJudge()
-    if ckpt is None:  # the model judge
+    if model is None:  # the model judge
         raise ValueError("--ckpt required for the model judge")
-    return ModelJudge(Model.load(ckpt))
+    return ModelJudge(model)
 
 
 def cmd_gen_data(args) -> int:
@@ -176,9 +177,10 @@ def cmd_mine(args) -> int:
 def _judged(args, wanted):
     """Retrieve and judge the corpus queries for which `wanted(q)` holds."""
     candidates, queries = split_roles(load_corpus(args.corpus))
-    judge = _make_judge(args.judge, args.noise, args.seed or 0, args.ckpt)
-    embed_model = (Model.load(args.ckpt) if args.ckpt
-                   else Model(_seeded(_config(args).model, args)))
+    # one load serves both the model judge and the embedder
+    loaded = Model.load(args.ckpt) if args.ckpt else None
+    judge = _make_judge(args.judge, args.noise, args.seed or 0, loaded)
+    embed_model = loaded if loaded is not None else Model(_seeded(_config(args).model, args))
     return curate_all([q for q in queries if wanted(q)], candidates,
                       embed_model.embed_many, judge, template_id=args.template,
                       k=min(args.k, len(candidates)))

@@ -68,7 +68,10 @@ def search(index: CandidateIndex, query_embedding: np.ndarray, k: int,
         raise IndexStateError("search over an empty index")
     if not 1 <= k <= len(index):
         raise ValueError(f"k={k} outside [1, index size {len(index)}]")
-    scores = index.matrix @ np.asarray(query_embedding, dtype=np.float64)
+    query = np.asarray(query_embedding, dtype=np.float64)
+    if not np.isfinite(query).all():
+        raise ValueError("query embedding must be finite")
+    scores = index.matrix @ query
     order = np.lexsort((index.id_rank, -scores))[:k]
     return RankedResult(query_id=query_id,
                         ids=[index.ids[i] for i in order],

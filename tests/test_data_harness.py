@@ -408,6 +408,32 @@ class TestCLIContract:
         got = [json.loads(line) for line in out.read_text().splitlines()]
         assert got == [{"query_id": qid, "negative_ids": ids} for qid, ids in want.items()]
 
+    def test_model_judge_loads_its_checkpoint_once(self, cli_workspace, monkeypatch,
+                                                   capsys):
+        """`judge --judge model --ckpt X` loads X once for judge and embedder
+        alike, and prints the verdicts of two separately loaded copies."""
+        root, cfg_path, data_dir = cli_workspace
+        corpus = data_dir / "corpus.jsonl"
+        ckpt = root / "judge_src.ckpt"
+        assert cli(["train", "--stage", "restore", "--seed", "0",
+                    "--config", str(cfg_path), "--corpus", str(corpus),
+                    "--steps", "1", "--out", str(ckpt)]) == 0
+        candidates, queries = split_roles(load_corpus(corpus))
+        want = [f"{s.query_id}\t{v.candidate_id}\t{v.logit_yes!r}\t{v.logit_no!r}\t"
+                f"{v.verdict}"
+                for s in curation.curate_all(queries, candidates, Model.load(ckpt).embed_many,
+                                             curation.ModelJudge(Model.load(ckpt)),
+                                             template_id="T2I", k=3)
+                for v in s.verdicts]
+        loads, load = [], Model.load
+        monkeypatch.setattr(Model, "load",
+                            classmethod(lambda cls, path: loads.append(path) or load(path)))
+        capsys.readouterr()
+        assert cli(["judge", "--judge", "model", "--ckpt", str(ckpt),
+                    "--corpus", str(corpus), "--k", "3"]) == 0
+        assert loads == [str(ckpt)]
+        assert capsys.readouterr().out.splitlines() == want
+
 
 def test_cli_smoke_every_readme_command(cli_workspace, capsys):
     """Each README subcommand on the tiny corpus: exit code and artifacts."""

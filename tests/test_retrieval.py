@@ -114,6 +114,13 @@ class TestSearch:
         with pytest.raises(ValueError, match="finite"):
             CandidateIndex(ids=["a", "b", "c"], matrix=m)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, bad):
+        """A NaN query made every score NaN and ranked by id, silently."""
+        idx = CandidateIndex(ids=["z", "a", "m"], matrix=np.eye(3))
+        with pytest.raises(ValueError, match="finite"):
+            search(idx, np.array([bad, 0.0, 0.0]), k=3)
+
     def test_build_from_embeddings(self, rng):
         embs = [Embedding(source_id=f"e{i}", vector=_unit(rng)) for i in range(3)]
         idx = CandidateIndex.build(embs)
