@@ -61,10 +61,6 @@ class SyntheticTaskSpec:
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SyntheticTaskSpec":
-        return cls(**d)
-
 
 def class_motif(seed: int, class_id: int, vocab_size: int) -> Tuple[int, ...]:
     """Deterministic per-class token motif in the free data-token band."""

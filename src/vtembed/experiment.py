@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -98,13 +98,14 @@ class ExperimentConfig:
         version = d.get("schema_version", CONFIG_SCHEMA_VERSION)
         if version != CONFIG_SCHEMA_VERSION:
             raise ExperimentConfigError(f"config schema version {version} unsupported")
-        return cls(
-            preset=d.get("preset", "table4"),
-            seeds=list(d.get("seeds", [0, 1, 2, 3, 4])),
-            model=_section(ModelConfig, d, "model"),
-            data=_section(SyntheticTaskSpec, d, "data"),
-            train=_section(TrainSettings, d, "train"),
-            sweep_n_hard=list(d.get("sweep_n_hard", [0, 4, 8, 12, 16, 20])))
+        unknown = sorted(set(d) - set(cls.__dataclass_fields__) - {"schema_version"})
+        if unknown:
+            raise ExperimentConfigError(f"unknown top-level key(s): {', '.join(unknown)}")
+        given = {k: d[k] for k in ("preset", "seeds", "sweep_n_hard") if k in d}
+        return cls(**given,
+                   model=_section(ModelConfig, d, "model"),
+                   data=_section(SyntheticTaskSpec, d, "data"),
+                   train=_section(TrainSettings, d, "train"))
 
     def config_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True)
@@ -222,8 +223,7 @@ class _Seed:
 def _trained_through_hnm(cfg: ExperimentConfig, seed: int) -> _Seed:
     """The prefix every preset shares: restore -> warmup -> global HNM."""
     tr = cfg.train
-    mcfg = ModelConfig.from_dict({**cfg.model.to_dict(), "seed": seed})
-    dspec = SyntheticTaskSpec.from_dict({**cfg.data.to_dict(), "seed": seed})
+    mcfg, dspec = replace(cfg.model, seed=seed), replace(cfg.data, seed=seed)
     candidates, queries, qrels = generate_corpus(dspec, mcfg)
     model = Model(mcfg)
     r1 = run_stage1(model, instruction_pairs(candidates, dspec.seed, mcfg.vocab_size),
@@ -251,22 +251,27 @@ def _curated(s: _Seed, judge):
                         s.task_class, min(DEFAULT_JUDGE_K, len(s.candidates)))
 
 
+def _judge_ft(s: _Seed, curated, n_hard: int, tr: TrainSettings, seed: int):
+    """A copy of the HNM state fine-tuned on `curated` with `n_hard` judge
+    negatives per query: the model, its corpus index and its loss trace."""
+    model = s.model.clone()
+    r3 = run_stage3(model, s.candidates, s.queries, curated,
+                    _plan("judge_ft", tr.stage3_steps, tr, seed, n_hard=n_hard))
+    return model, CandidateIndex.build(model.embed_many(s.candidates)), r3.loss_trace
+
+
 def run_seed_pipeline(cfg: ExperimentConfig, seed: int) -> SeedRun:
     """Run the cumulative pipeline for one seed, evaluating after each
     stage on the held-out queries."""
     tr = cfg.train
     s = _trained_through_hnm(cfg, seed)
-    model, candidates, queries, eval_q, qrels = (s.model, s.candidates, s.queries,
-                                                 s.eval_q, s.qrels)
+    candidates, queries, eval_q, qrels = s.candidates, s.queries, s.eval_q, s.qrels
     traces = dict(s.traces)
     metrics = {"warmup": evaluate_embedder(s.warm_index, s.warmed, eval_q, qrels),
-               "global_hnm": evaluate_embedder(s.hnm_index, model, eval_q, qrels)}
+               "global_hnm": evaluate_embedder(s.hnm_index, s.model, eval_q, qrels)}
 
     curated = _curated(s, ClassOracleJudge(noise_rate=tr.judge_noise, seed=seed))
-    r3 = run_stage3(model, candidates, queries, curated,
-                    _plan("judge_ft", tr.stage3_steps, tr, seed, n_hard=tr.n_hard))
-    traces["judge_ft"] = r3.loss_trace
-    ft_index = CandidateIndex.build(model.embed_many(candidates))
+    model, ft_index, traces["judge_ft"] = _judge_ft(s, curated, tr.n_hard, tr, seed)
     results = embed_results(ft_index, model, eval_q)  # both rows rank this once
     metrics["judge_ft"] = retrieval_metrics(results, qrels)
     reranker = s.restored if tr.reranker == "trained" else None
@@ -279,27 +284,26 @@ def run_seed_pipeline(cfg: ExperimentConfig, seed: int) -> SeedRun:
     return SeedRun(seed=seed, metrics=metrics, loss_traces=traces)
 
 
-def run_table5_seed(cfg: ExperimentConfig, seed: int,
-                    n_values: Sequence[int]) -> Dict[str, Dict[str, float]]:
+def run_table5_seed(cfg: ExperimentConfig, seed: int, n_values: Sequence[int]) -> SeedRun:
     """Stage-3 sweep for one seed: hard-negative count x judge type.
 
     The prefix through global-HNM and its index are shared; each (arm, n)
-    trains its own stage-3 copy from that checkpoint.
+    trains its own stage-3 copy from that checkpoint. Metrics and stage-3
+    traces are keyed "{arm}:n={n}", beside the shared prefix's traces.
     """
     tr = cfg.train
     s = _trained_through_hnm(cfg, seed)
     judges = {"mllm": ClassOracleJudge(noise_rate=tr.judge_noise, seed=seed),
               "rule": AlwaysIrrelevantJudge()}
-    out: Dict[str, Dict[str, float]] = {}
+    metrics: Dict[str, Dict[str, float]] = {}
+    traces = dict(s.traces)
     for arm, judge in judges.items():
         curated = _curated(s, judge)
         for n in n_values:
-            m = s.model.clone()
-            run_stage3(m, s.candidates, s.queries, curated,
-                       _plan("judge_ft", tr.stage3_steps, tr, seed, n_hard=n))
-            index = CandidateIndex.build(m.embed_many(s.candidates))
-            out[f"{arm}:n={n}"] = evaluate_embedder(index, m, s.eval_q, s.qrels)
-    return out
+            key = f"{arm}:n={n}"
+            model, index, traces[key] = _judge_ft(s, curated, n, tr, seed)
+            metrics[key] = evaluate_embedder(index, model, s.eval_q, s.qrels)
+    return SeedRun(seed=seed, metrics=metrics, loss_traces=traces)
 
 
 # ---- report assembly ----
@@ -330,28 +334,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> dict:
     if not done:
         raise ExperimentConfigError("all seeds failed: " + json.dumps(failures))
 
+    runs = list(done.values())
+    traces = {str(r.seed): r.loss_traces for r in runs}
     rows: List[dict] = []
-    traces: Dict[str, Dict[str, List[float]]] = {}
-    if cfg.preset == "table4":
-        runs = list(done.values())
-        for run in runs:
-            traces[str(run.seed)] = run.loss_traces
-        for stage in ("warmup", "global_hnm", "judge_ft", "reranker"):
-            per_seed = {str(r.seed): r.metrics[stage]["p_at_1"] for r in runs}
-            rows.append({
-                "config": STAGE_LABELS[stage],
-                **{f"seed{slot}": per_seed[slot] for slot in per_seed},
-                "median_p_at_1": statistics.median(per_seed.values()),
-                "median_ndcg_at_5": statistics.median(
-                    r.metrics[stage]["ndcg_at_5"] for r in runs),
-            })
-    else:
-        done_seeds = sorted(done)
-        for key in done[done_seeds[0]]:
-            vals = {str(seed): done[seed][key]["p_at_1"] for seed in done_seeds}
-            rows.append({"config": key,
-                         **{f"seed{slot}": vals[slot] for slot in vals},
-                         "median_p_at_1": statistics.median(vals.values())})
+    for key in runs[0].metrics:
+        p_at_1 = {f"seed{r.seed}": r.metrics[key]["p_at_1"] for r in runs}
+        rows.append({
+            "config": STAGE_LABELS.get(key, key),
+            **p_at_1,
+            "median_p_at_1": statistics.median(p_at_1.values()),
+            "median_ndcg_at_5": statistics.median(r.metrics[key]["ndcg_at_5"] for r in runs),
+        })
 
     report = {
         "preset": cfg.preset,

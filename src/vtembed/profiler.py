@@ -19,20 +19,14 @@ class CostProfile:
     role: str  # "query" | "candidate"
     visual_tokens: int
     text_tokens: int
-    tiles: int
     attention_flops: float
     wall_clock_ms: float
     trials: int
 
 
-def token_budget(cfg: ModelConfig, tiles: int = 1, has_image: bool = True) -> int:
-    """Visual tokens entering the LLM: tiles * H*W/s^2, or 0 without image."""
-    if not has_image:
-        return 0
-    if tiles < 1:
-        raise ValueError("tiles must be >= 1 for image-bearing inputs")
-    s = cfg.compression_factor
-    return tiles * (cfg.patch_h // s) * (cfg.patch_w // s)
+def token_budget(cfg: ModelConfig, has_image: bool = True) -> int:
+    """Visual tokens entering the LLM: H*W/s^2, or 0 without image."""
+    return cfg.visual_tokens if has_image else 0
 
 
 def attention_cost(seq_len: int, layers: int, heads: int, embed_dim: int) -> float:
@@ -48,7 +42,7 @@ def attention_cost(seq_len: int, layers: int, heads: int, embed_dim: int) -> flo
 
 
 def measure_encode(model: Model, example: MultimodalExample, trials: int = 10,
-                   label: str = "", tiles: int = 1) -> CostProfile:
+                   label: str = "") -> CostProfile:
     """Mean single-threaded wall clock over `trials` encodes, one discarded
     warmup run, batch of 1."""
     if trials < 3:
@@ -65,7 +59,7 @@ def measure_encode(model: Model, example: MultimodalExample, trials: int = 10,
     mean_s = sum(times) / trials
     return CostProfile(
         label=label, role=example.role,
-        visual_tokens=n_vis * tiles, text_tokens=n_text, tiles=tiles,
+        visual_tokens=n_vis, text_tokens=n_text,
         attention_flops=attention_cost(len(s.ids), model.cfg.num_layers,
                                        model.cfg.num_heads, model.cfg.embed_dim),
         wall_clock_ms=mean_s * 1e3, trials=trials)

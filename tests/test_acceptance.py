@@ -265,8 +265,8 @@ def test_criterion_08_judge_vs_rule_negatives():
     t0 = time.time()
     cfg = _ablation_config()
     tables = [run_table5_seed(cfg, s, [12]) for s in range(5)]
-    mllm = statistics.median(t["mllm:n=12"]["p_at_1"] for t in tables)
-    rule = statistics.median(t["rule:n=12"]["p_at_1"] for t in tables)
+    mllm = statistics.median(t.metrics["mllm:n=12"]["p_at_1"] for t in tables)
+    rule = statistics.median(t.metrics["rule:n=12"]["p_at_1"] for t in tables)
     ok = mllm >= rule
     _report(8, f"median-of-5 P@1 at n=12: judge-curated {mllm:.3f} "
                f">= rule-based {rule:.3f}", ok, time.time() - t0, 2700)

@@ -178,6 +178,7 @@ class TestExperimentConfig:
         back = load_config(p)
         assert back.to_dict() == cfg.to_dict()
         assert back.config_hash() == cfg.config_hash()
+        assert ExperimentConfig.from_dict({}).to_dict() == ExperimentConfig().to_dict()
 
     def test_hash_tracks_content(self):
         a, b = ExperimentConfig(), ExperimentConfig(seeds=[9])
@@ -199,6 +200,15 @@ class TestExperimentConfig:
         p.write_text(json.dumps({"train": {"reranker": "trainde"}}))
         assert cli(["experiment", "--config", str(p)]) == 2
         assert "ExperimentConfigError" in capsys.readouterr().err
+
+    def test_unknown_top_level_key_rejected(self, tmp_path, capsys):
+        with pytest.raises(ExperimentConfigError,
+                           match="unknown top-level key.*sweep_n_hrad"):
+            ExperimentConfig.from_dict({"seeds": [0], "sweep_n_hrad": [4]})
+        p = tmp_path / "typo.json"
+        p.write_text(json.dumps({"seed": [0]}))
+        assert cli(["experiment", "--config", str(p)]) == 2
+        assert "unknown top-level key(s): seed" in capsys.readouterr().err
 
     def test_future_schema_rejected(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -599,8 +609,62 @@ def test_table5_seed_encodes_the_corpus_once_per_model_state(cfg, monkeypatch):
     exp = _encode_count_config(cfg)
     encodes = _count_corpus_encodes(exp, monkeypatch, cfg)
     out = experiment.run_table5_seed(exp, 0, [0, 2])
-    assert sorted(out) == ["mllm:n=0", "mllm:n=2", "rule:n=0", "rule:n=2"]
+    assert sorted(out.metrics) == ["mllm:n=0", "mllm:n=2", "rule:n=0", "rule:n=2"]
     assert sum(encodes) == 6
+
+
+@pytest.mark.parametrize("preset, runner, labels", [
+    ("table4", "run_seed_pipeline", ["warmup", "+global-HNM", "+judge-FT", "+reranker"]),
+    ("table5", "run_table5_seed", ["mllm:n=0", "mllm:n=2", "rule:n=0", "rule:n=2"])])
+def test_report_rows_recompute_from_seed_runs(cfg, monkeypatch, preset, runner, labels):
+    """Both presets build their rows and traces from the seeds' `SeedRun`s
+    alone: per-seed P@1 in run order, then the medians of P@1 and NDCG@5."""
+    exp = replace(_encode_count_config(cfg), preset=preset, seeds=[2, 0, 1],
+                  sweep_n_hard=[0, 2])
+    runs = []
+    real = getattr(experiment, runner)
+
+    def capture(*args):
+        runs.append(real(*args))
+        return runs[-1]
+    monkeypatch.setattr(experiment, runner, capture)
+    report = run_experiment(exp)
+
+    assert [r.seed for r in runs] == [2, 0, 1]
+    keys = list(runs[0].metrics)
+    assert len(keys) == len(labels)
+    want = []
+    for key, label in zip(keys, labels):
+        p1 = [r.metrics[key]["p_at_1"] for r in runs]
+        ndcg = [r.metrics[key]["ndcg_at_5"] for r in runs]
+        want.append({"config": label, "seed2": p1[0], "seed0": p1[1], "seed1": p1[2],
+                     "median_p_at_1": float(np.median(p1)),
+                     "median_ndcg_at_5": float(np.median(ndcg))})
+    assert report["rows"] == want
+    assert all(list(row) == list(w) for row, w in zip(report["rows"], want))
+    assert report["loss_traces"] == {str(r.seed): r.loss_traces for r in runs}
+    for r in runs:
+        assert {"restore", "warmup", "global_hnm"} <= set(r.loss_traces)
+        if preset == "table5":
+            assert set(r.loss_traces) - {"restore", "warmup", "global_hnm"} == set(keys)
+
+
+def test_table5_content_id_covers_stage3_traces(cfg, monkeypatch):
+    """A table5 run whose stage-3 loss traces move by 1e-9, with every
+    metric unchanged, gets a different content id."""
+    exp = replace(_encode_count_config(cfg), preset="table5", seeds=[0],
+                  sweep_n_hard=[2])
+    base = run_experiment(exp)
+    real = experiment.run_stage3
+
+    def perturbed(*args, **kwargs):
+        report = real(*args, **kwargs)
+        report.loss_trace[-1] += 1e-9
+        return report
+    monkeypatch.setattr(experiment, "run_stage3", perturbed)
+    moved = run_experiment(exp)
+    assert moved["rows"] == base["rows"]
+    assert moved["manifest"]["content_id"] != base["manifest"]["content_id"]
 
 
 # (callable, positional argument count, keywords) of each call shape in

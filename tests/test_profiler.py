@@ -32,18 +32,11 @@ class TestTokenBudget:
                          max_seq_len=512)
         assert token_budget(c1) == 256
         assert token_budget(c2) == 64
-        assert token_budget(c2, tiles=4) == 256
-        assert token_budget(c1, tiles=4) == 1024
 
     def test_no_image_is_zero(self):
         cfg = ModelConfig(patch_h=16, patch_w=16, compression_factor=2,
                           max_seq_len=512)
         assert token_budget(cfg, has_image=False) == 0
-
-    def test_bad_tiles(self):
-        cfg = ModelConfig(patch_h=8, patch_w=8)
-        with pytest.raises(ValueError):
-            token_budget(cfg, tiles=0)
 
 
 class TestAttentionCost:
@@ -95,7 +88,7 @@ class TestMeasure:
 class TestTable:
     def _profile(self, label, role, vt, ms):
         return CostProfile(label=label, role=role, visual_tokens=vt,
-                           text_tokens=4, tiles=1, attention_flops=1.0,
+                           text_tokens=4, attention_flops=1.0,
                            wall_clock_ms=ms, trials=5)
 
     def test_structure_and_csv_roundtrip(self):
